@@ -16,7 +16,7 @@ from .field import BetaParams
 from .piecewise import PiecewisePoly
 from .partition import refine_to_level
 from .spectral import make_u_tilde
-from .transfer import apply_transfer, pointwise_transfer_power
+from .transfer import BudgetExceeded, apply_transfer, pointwise_transfer_power
 
 NOISE_FLOOR_RATIO = 1e-12
 FIT_SKIP = 5  # entries with k <= FIT_SKIP are excluded from slope fits
@@ -88,7 +88,7 @@ def two_term_residual_exact(F: PiecewisePoly, k_max: int, terms: int = 2,
     for k in range(1, k_max + 1):
         cur = apply_transfer(cur)
         if len(cur.pieces) > piece_budget:
-            raise RuntimeError("piece budget exceeded at k=%d" % k)
+            raise BudgetExceeded("piece budget exceeded at k=%d" % k)
         resid = cur - base
         if terms == 2:
             resid = resid - u3.scaled(jump * binv ** k)

@@ -12,7 +12,6 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
 
 from .field import BetaParams, QuadNum
 from .piecewise import PiecewisePoly, Polynomial
@@ -61,18 +60,23 @@ def periodized_eval(n: int, x) -> float:
 
 @lru_cache(maxsize=None)
 def bernoulli_l1_norm(n: int) -> float:
-    """Numeric L1 norm of B_n on [0,1] (adaptive quadrature, tol 1e-12).
-
-    Exact values exist only for n <= 1 (1 and 1/4); for n >= 2 the norm is
-    irrational and this numeric value is for reporting only."""
-    if n == 0:
-        return 1.0
-    if n == 1:
-        return 0.25
-    coeffs = [float(c) for c in reversed(bernoulli_coeffs(n))]
-    val, _ = quad(lambda t: abs(np.polyval(coeffs, t)), 0.0, 1.0,
-                  epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val
+    """L1 norm of B_n on [0,1] in rational arithmetic: the sum of |A(v) - A(u)|,
+    A an antiderivative, over the pieces [u, v] cut at the roots of B_n. These
+    lie among 0, 1/2, 1 for n = 0 and odd n, else they are r and 1 - r, with r
+    bisected to 2^-65 (an error that enters only squared, as B_n(r) = 0)."""
+    bn = bernoulli_coeffs(n)
+    at = lambda cs, t: sum(c * t ** i for i, c in enumerate(cs))
+    r = Fraction(1, 2)
+    if n % 2 == 0 < n:
+        # B_n(0) and B_n(1/2) = (2^{1-n} - 1)*B_n(0) differ in sign
+        lo, hi = Fraction(0), Fraction(1, 2)
+        for _ in range(64):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if at(bn, mid) * bn[0] > 0 else (lo, mid)
+        r = lo
+    anti = (0,) + tuple(c / (i + 1) for i, c in enumerate(bn))
+    values = [at(anti, t) for t in (0, r, 1 - r, 1)]
+    return float(sum(abs(v - u) for u, v in zip(values, values[1:])))
 
 
 @dataclass
@@ -105,7 +109,7 @@ def eb_expand(F, a: QuadNum, b: QuadNum, N: int) -> EBExpansion:
     """Euler-Bernoulli expansion data of F over [a,b] up to order N.
 
     F must expose value/derivative evaluation (see catalog.SmoothFunction);
-    the interval mean uses F's exact integral when available, else adaptive
+    the interval mean uses F's exact integral when available, else mpmath
     quadrature."""
     if N < 1:
         raise ValueError("N must be >= 1")

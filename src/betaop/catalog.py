@@ -55,9 +55,7 @@ class SmoothFunction:
     def integral(self, a: float, b: float) -> float:
         if self.antiderivative is not None:
             return self.antiderivative(b) - self.antiderivative(a)
-        from scipy.integrate import quad
-        val, _ = quad(self.fn, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)
-        return val
+        return float(self.mp_integral(a, b))
 
     def mp_integral(self, a, b):
         if self.mp_antiderivative is not None:

@@ -19,7 +19,6 @@ import time
 
 import mpmath
 import numpy as np
-import scipy
 
 from . import __version__
 from .asymptotics import (epsilon_of, fit_slope, two_term_residual_exact,
@@ -77,7 +76,6 @@ def _manifest(args, command: str, started: float, extra: dict | None = None) -> 
             "betaop": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "mpmath": mpmath.__version__,
         },
         "threads": _thread_count(),

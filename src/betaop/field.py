@@ -3,8 +3,8 @@ beta^2 = a0*beta + a1 with integers a0 >= a1 >= 1.
 
 Every element is represented uniquely as (a + b*beta)/d with integers a, b
 and d > 0, gcd(a, b, d) = 1; all arithmetic is on plain ints.
-Ordering and integer parts are decided algebraically; floats are only used
-as a seed that is always confirmed exactly.
+Ordering and integer parts are decided in integer arithmetic, without
+floats.
 """
 
 from __future__ import annotations
@@ -251,13 +251,13 @@ class QuadNum:
 
     def floor(self) -> int:
         """The unique integer m with m <= self < m+1."""
-        m = math.floor(float(self))
-        # float seed, then exact correction
-        while (self - m).sign() < 0:
-            m -= 1
-        while (self - (m + 1)).sign() >= 0:
-            m += 1
-        return m
+        if self.b == 0:
+            return self.a // self.d
+        # self = (r + b*sqrt(D))/(2d) with b*sqrt(D) irrational, whose floor is
+        # isqrt(b^2 D) or -isqrt(b^2 D) - 1; floor(y/(2d)) = floor(floor(y)/(2d))
+        root = isqrt(self.b * self.b * self.params.disc)
+        r = 2 * self.a + self.params.a0 * self.b
+        return (r + (root if self.b > 0 else -root - 1)) // (2 * self.d)
 
     def __float__(self) -> float:
         # Evaluate (r + b*sqrt(D))/(2d), r = 2a + a0*b, with an interval around

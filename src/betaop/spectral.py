@@ -77,13 +77,13 @@ def make_psi_basis(params: BetaParams, nu: int, normalized: bool = True) -> PsiB
     """The 2*nu basis functions: psi_{2s+1} = c_s B_s on [0,1] and
     psi_{2s+2} = c_s (beta/a1) B_s(beta x / a1) on [0, a1/beta], s < nu.
 
-    normalized=True divides by the L1 norm of B_s, which is rational only
-    for s <= 1 (norms 1 and 1/4); hence it requires nu <= 2."""
+    normalized=True divides by the L1 norm of B_s, which is 1 and 1/4 for
+    s <= 1 but irrational for s = 2; hence it requires nu <= 2."""
     if nu < 1:
         raise ValueError("nu must be >= 1")
     if normalized and nu > 2:
         raise ValueError("normalized basis requires nu <= 2 "
-                         "(L1 norms of higher Bernoulli polynomials are irrational)")
+                         "(the L1 norm of B_2 is irrational)")
     beta = params.beta()
     a1 = params.a1
     cut = beta.inverse() * a1  # a1/beta

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from betaop import (BetaParams, builtin, chosen_level, epsilon_of, fit_slope,
-                    hor13_reconstruction, lemmaPk_decomposition_check,
+from betaop import (BetaParams, BudgetExceeded, builtin, chosen_level,
+                    epsilon_of, fit_slope, hor13_reconstruction,
+                    lemmaPk_decomposition_check,
                     make_psi_basis, make_u_tilde, two_term_residual_exact,
                     two_term_residual_numeric)
 
@@ -47,6 +48,12 @@ def test_exact_residual_is_second_eigenterm():
                              series.residual_upper):
             assert lo <= lam ** k * up2 * (1 + 1e-12)
             assert up >= lam ** k * lo2 * (1 - 1e-12)
+
+
+def test_exact_residual_piece_budget():
+    F = builtin("linear").piecewise(GOLDEN)  # 2 pieces after one step
+    with pytest.raises(BudgetExceeded):
+        two_term_residual_exact(F, 3, piece_budget=1)
 
 
 def test_invariant_density_residual_vanishes():

@@ -57,6 +57,37 @@ def test_l1_norms():
     assert bernoulli_l1_norm(2) == pytest.approx(3 ** 0.5 / 27, abs=1e-10)
 
 
+def _reference_l1_norm(n):
+    # sum of |B_{n+1}(v) - B_{n+1}(u)|/(n+1) over the pieces of [0,1] cut at
+    # the real roots of B_n, all at 50 digits
+    with mp.workdps(50):
+        def desc(k):
+            return [mp.mpf(c.numerator) / c.denominator
+                    for c in reversed(bernoulli_coeffs(k))]
+        roots = mp.polyroots(desc(n), maxsteps=200, extraprec=200) if n else []
+        cuts = sorted([mp.mpf(0), mp.mpf(1)]
+                      + [mp.re(z) for z in roots
+                         if abs(mp.im(z)) < mp.mpf(10) ** -40 and 0 < mp.re(z) < 1])
+        vals = [mp.polyval(desc(n + 1), t) for t in cuts]
+        return sum(abs(v - u) for u, v in zip(vals, vals[1:])) / (n + 1)
+
+
+def test_l1_norms_match_antiderivative_reference():
+    for n in range(17):
+        ref = _reference_l1_norm(n)
+        assert abs(bernoulli_l1_norm(n) - ref) <= 1e-12 * ref, n
+
+
+def test_l1_norms_odd_degree_are_rational():
+    assert bernoulli_l1_norm(3) == 1 / 32
+    assert bernoulli_l1_norm(5) == 1 / 64
+    # roots 0, 1/2, 1 and B_{n+1}(1/2) = (2^-n - 1) B_{n+1}(0)
+    for n in range(1, 64, 2):
+        b = bernoulli_coeffs(n + 1)[0]
+        exact = 2 * abs(b) * (2 - Fraction(1, 2 ** n)) / (n + 1)
+        assert bernoulli_l1_norm(n) == float(exact), n
+
+
 def test_eb_expand_exact_cases():
     params = GOLDEN
     a, b = params.zero(), params.one()
@@ -88,6 +119,17 @@ def test_eb_expand_on_subinterval():
     for y in (0.5, 0.7, 0.9):
         if float(a) < y < 1.0:
             assert exp1.reconstruct(y) == pytest.approx(2 * y, abs=1e-12)
+
+
+def test_eb_expand_without_antiderivative():
+    # the interval mean falls back to quadrature when F has no antiderivative
+    a, b = GOLDEN.beta().inverse(), GOLDEN.one()
+    bare = builtin("sin")
+    bare.antiderivative = bare.mp_antiderivative = None
+    got = eb_expand(bare, a, b, 3)
+    want = eb_expand(builtin("sin"), a, b, 3)
+    assert got.mean == pytest.approx(want.mean, rel=1e-13)
+    assert got.jump_coeffs == want.jump_coeffs
 
 
 def test_eb_error_bound_smooth():

@@ -3,7 +3,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -134,3 +138,25 @@ def test_budget_exit_code(monkeypatch):
     assert run(["asymptotics", "--a0", "5", "--a1", "5", "--N", "40", "--F",
                 "exp-normalized", "--engine", "numeric",
                 "--k-max", "40"]) == 3
+
+
+def test_exact_budget_exit_code(monkeypatch):
+    import betaop.cli as cli
+    orig = cli.two_term_residual_exact
+    monkeypatch.setattr(cli, "two_term_residual_exact",
+                        lambda F, k_max: orig(F, k_max, piece_budget=1))
+    assert run(["asymptotics", "--a0", "1", "--a1", "1", "--F", "linear",
+                "--k-max", "10"]) == 3
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import betaop.cli, sys; print(betaop.cli.__file__); "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    loaded_from, scipy_modules = done.stdout.splitlines()
+    assert Path(loaded_from).resolve().is_relative_to(src)
+    assert scipy_modules == "[]"

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from betaop import BetaParams, QuadNum, quadnum_from_string
 
@@ -214,3 +215,73 @@ def test_p_and_q_return_the_original_fractions():
         assert QuadNum(x.p, x.q, params) == x
     x = QuadNum(3, -2, BetaParams(1, 1))
     assert (x.p, x.q) == (Fraction(3), Fraction(-2))
+
+
+def test_floor_of_large_power():
+    # beta^n + (-1/beta)^n is the Lucas number L_n, and 0 < (-1/beta)^n < 1
+    # for even n > 0, so floor(beta^n) = L_n - 1
+    p = BetaParams(1, 1)
+    lucas = [2, 1]
+    while len(lucas) <= 3000:
+        lucas.append(lucas[-1] + lucas[-2])
+    big = p.beta() ** 3000
+    assert big.floor() == lucas[3000] - 1
+    assert (-big).floor() == -lucas[3000]
+    assert big.inverse().floor() == 0
+
+
+# -- field laws over random triples, with components of up to 400 bits --------
+
+BIG = 2 ** 400
+
+
+@st.composite
+def elements(draw, count):
+    """`count` elements of one randomly chosen field."""
+    params = draw(st.sampled_from(ALL_PARAMS_5))
+    coord = st.integers(-BIG, BIG)
+    denom = st.integers(1, BIG)
+    return [QuadNum(Fraction(draw(coord), draw(denom)),
+                    Fraction(draw(coord), draw(denom)), params)
+            for _ in range(count)]
+
+
+@settings(deadline=None)
+@given(elements(3))
+def test_associativity_and_distributivity(xyz):
+    x, y, z = xyz
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+
+
+@settings(deadline=None)
+@given(elements(1))
+def test_inverse_law(xs):
+    (x,) = xs
+    assume(not x.is_zero())
+    assert x * x.inverse() == 1
+
+
+@settings(deadline=None)
+@given(elements(2), st.integers(-BIG, BIG), st.integers(1, BIG))
+def test_equality_agrees_with_hash(xy, num, den):
+    x, y = xy
+    assume(not y.is_zero())
+    # the same value reached along another route
+    same = (x * y) / y
+    assert same == x and hash(same) == hash(x)
+    assert (x == y) == (x - y).is_zero()
+    # a rational element equals, and hashes like, the Fraction it holds
+    r = QuadNum(Fraction(num, den), 0, x.params)
+    assert r == Fraction(num, den) and hash(r) == hash(Fraction(num, den))
+    assert x - x.q * x.params.beta() == x.p
+    assert hash(x - x.q * x.params.beta()) == hash(x.p)
+
+
+@settings(deadline=None)
+@given(elements(1))
+def test_floor_brackets(xs):
+    (x,) = xs
+    m = x.floor()
+    assert (x - m).sign() >= 0 > (x - m - 1).sign()
