@@ -35,8 +35,10 @@ def bernoulli_coeffs(n: int) -> tuple[Fraction, ...]:
     return tuple(body)
 
 
+@lru_cache(maxsize=None)
 def bernoulli_polynomial(params: BetaParams, n: int) -> Polynomial:
-    """B_n as a Polynomial over Q(beta) (rational coefficients)."""
+    """B_n as a Polynomial over Q(beta) (rational coefficients), cached:
+    Polynomial is immutable."""
     return Polynomial.from_rationals(bernoulli_coeffs(n), params)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 
@@ -36,6 +37,10 @@ class BetaParams:
     def beta(self) -> "QuadNum":
         return QuadNum(0, 1, self)
 
+    def power(self, n: int) -> "QuadNum":
+        """beta**n for any integer n, cached per (params, n)."""
+        return _beta_power(self, n)
+
     def beta_float(self) -> float:
         return (self.a0 + math.sqrt(self.disc)) / 2.0
 
@@ -47,6 +52,11 @@ class BetaParams:
 
     def rational(self, value) -> "QuadNum":
         return QuadNum(Fraction(value), 0, self)
+
+
+@lru_cache(maxsize=None)
+def _beta_power(params: BetaParams, n: int) -> "QuadNum":
+    return params.beta() ** n
 
 
 def _as_fraction(x) -> Fraction:

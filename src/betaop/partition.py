@@ -30,18 +30,18 @@ class PartitionPoint:
         return sum(self.k_word)
 
     def gap_length(self) -> QuadNum:
-        return self.value.params.beta().inverse() ** self.depth
+        return self.value.params.power(-self.depth)
 
     def right_endpoint(self) -> QuadNum:
         return self.value + self.gap_length()
 
 
 def first_layer_point(params: BetaParams, k: int, j: int) -> QuadNum:
-    binv = params.beta().inverse()
+    binv = params.power(-1)
     if k == 1:
         return binv * j
     if k == 2:
-        return binv * params.a0 + binv * binv * j
+        return binv * params.a0 + params.power(-2) * j
     raise ValueError("k must be 1 or 2")
 
 
@@ -75,7 +75,7 @@ def refine_to_level(params: BetaParams, M: int) -> LevelPartition:
     first layer). The result has gap depths in {M, M+1} exactly."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    binv = params.beta().inverse()
+    binv = params.power(-1)
     gaps: list[PartitionPoint] = []
     # offsets[depth][(k, j)] = binv^depth * t(k, j), precomputed once
     layer = [(k, j) for k in (1, 2) for j in range(params.a0 if k == 1 else params.a1)]
@@ -107,7 +107,7 @@ def building_block(gap: PartitionPoint, s: int) -> PiecewisePoly:
     if s > 8:
         raise ValueError("s must be <= 8")
     params = gap.value.params
-    scale = params.beta() ** gap.depth
+    scale = params.power(gap.depth)
     poly = bernoulli_polynomial(params, s).compose_affine(scale, -(scale * gap.value))
     poly = poly.scaled(scale)
     return PiecewisePoly.on_interval(poly, gap.value, gap.right_endpoint())
@@ -158,7 +158,7 @@ def _tail_gap(gap: PartitionPoint) -> PartitionPoint:
     beta^{k_1} (t - t(k_1, j_1))."""
     params = gap.value.params
     k1, j1 = gap.k_word[0], gap.j_word[0]
-    value = (gap.value - first_layer_point(params, k1, j1)) * params.beta() ** k1
+    value = (gap.value - first_layer_point(params, k1, j1)) * params.power(k1)
     return PartitionPoint(gap.k_word[1:], gap.j_word[1:], value)
 
 
@@ -180,20 +180,21 @@ def lemmacrux_check(params: BetaParams, M: int, s_max: int) -> LemmaCruxReport:
     checked = 0
     verified: set[tuple] = set()
 
-    def verify(gap: PartitionPoint, s: int) -> bool:
+    def verify(gap: PartitionPoint, s: int, block=None) -> bool:
+        # block: the gap's building block, when the caller has built it
         key = (gap.k_word, gap.j_word, s)
         if key in verified:
             return True
         if not gap.k_word:
             verified.add(key)
             return True
-        f = building_block(gap, s)
+        f = building_block(gap, s) if block is None else block
         for _ in range(gap.k_word[0]):
             f = apply_transfer(f)
         tail = _tail_gap(gap)
         target = (building_block(tail, s) if tail.k_word
                   else bernoulli_piecewise(params, s))
-        if not f.equal_ae(target) or not verify(tail, s):
+        if not f.equal_ae(target) or not verify(tail, s, target):
             return False
         verified.add(key)
         return True

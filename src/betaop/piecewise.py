@@ -100,11 +100,15 @@ class Polynomial:
 
     def compose_affine(self, scale: QuadNum, shift: QuadNum) -> "Polynomial":
         """The polynomial x -> p(scale*x + shift)."""
-        lin = Polynomial((shift, scale), self.params)
-        acc = Polynomial.zero(self.params)
-        for c in reversed(self.coeffs):
-            acc = acc * lin + Polynomial.constant(c)
-        return acc
+        if not self.coeffs:
+            return self
+        # Horner on coefficient lists: acc <- acc*(shift + scale*x) + c
+        acc = [self.coeffs[-1]]
+        for c in reversed(self.coeffs[:-1]):
+            acc = ([acc[0] * shift + c]
+                   + [a * shift + b * scale for a, b in zip(acc[1:], acc)]
+                   + [acc[-1] * scale])
+        return Polynomial(acc, self.params)
 
     def float_coeffs(self) -> np.ndarray:
         # descending order for np.polyval
@@ -122,12 +126,8 @@ class PiecewisePoly:
     __slots__ = ("params", "breakpoints", "pieces")
 
     def __init__(self, params: BetaParams, breakpoints: Sequence[QuadNum],
-                 pieces: Sequence[Polynomial], _canonical: bool = False):
+                 pieces: Sequence[Polynomial]):
         self.params = params
-        if _canonical:
-            self.breakpoints = list(breakpoints)
-            self.pieces = list(pieces)
-            return
         bps = list(breakpoints)
         pcs = list(pieces)
         if len(bps) != len(pcs) + 1:
@@ -259,30 +259,42 @@ class PiecewisePoly:
         return all(p.is_zero() for p in self.pieces)
 
     def equal_ae(self, other: "PiecewisePoly") -> bool:
-        """True iff self - other is the zero function in canonical form."""
-        return (self - other).is_zero()
+        """True iff self and other agree almost everywhere. The canonical form
+        (strictly increasing breakpoints, adjacent pieces distinct, normalised
+        coefficients) is unique, so this compares it directly."""
+        return self.breakpoints == other.breakpoints and self.pieces == other.pieces
 
     def compose_affine(self, scale: QuadNum, shift: QuadNum) -> "PiecewisePoly":
         """The function x -> f(scale*x + shift) on [0,1], extended by zero
-        where scale*x + shift leaves [0,1]. Requires scale > 0."""
+        where scale*x + shift leaves [0,1]. Requires scale > 0.
+
+        Only the support [s, t] of f (from the first to the last non-zero
+        piece) is pulled back; an image [shift, shift + scale] that misses it
+        gives the zero function at once."""
         if scale.sign() <= 0:
             raise ValueError("scale must be positive")
+        live = [i for i, p in enumerate(self.pieces) if not p.is_zero()]
+        if not live:
+            return PiecewisePoly.zero(self.params)
+        first, last = live[0], live[-1]
+        s, t = self.breakpoints[first], self.breakpoints[last + 1]
+        if (shift - t).sign() >= 0 or (shift + scale - s).sign() <= 0:
+            return PiecewisePoly.zero(self.params)
         inv = scale.inverse()
         zero_q, one_q = self.params.zero(), self.params.one()
-        # support in x: scale*x+shift in [0,1]
-        lo = (zero_q - shift) * inv
-        hi = (one_q - shift) * inv
+        # support in x: scale*x+shift in [s, t]
+        lo = (s - shift) * inv
+        hi = (t - shift) * inv
         if lo.sign() < 0:
             lo = zero_q
         if (hi - one_q).sign() > 0:
             hi = one_q
-        if (hi - lo).sign() <= 0:
-            return PiecewisePoly.zero(self.params)
-        # interior cuts are pullbacks of interior breakpoints; the input piece
-        # index on [cut_m, next) is m, so no per-segment search is needed
+        # interior cuts are pullbacks of the breakpoints inside the support;
+        # the input piece index on [cut_m, next) is m, so no per-segment
+        # search is needed
         cuts = []
-        for m, b in enumerate(self.breakpoints[1:-1], start=1):
-            x = (b - shift) * inv
+        for m in range(first + 1, last + 1):
+            x = (self.breakpoints[m] - shift) * inv
             if (x - lo).sign() > 0 and (hi - x).sign() > 0:
                 cuts.append((x, m))
         if cuts:

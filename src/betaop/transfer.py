@@ -24,14 +24,16 @@ def apply_transfer(f: PiecewisePoly) -> PiecewisePoly:
     """Exact (1/beta) * sum_{j=0}^{a0} f((x+j)/beta), in canonical form.
 
     The j = a0 branch is automatically supported only on [0, a1/beta]
-    because f vanishes outside [0,1]."""
+    because f vanishes outside [0,1]. Branches whose image misses the support
+    of f come back as the zero function and are left out of the sum."""
     params = f.params
-    binv = params.beta().inverse()
+    binv = params.power(-1)
     acc = None
     for j in range(params.a0 + 1):
         term = f.compose_affine(binv, binv * j)
-        acc = term if acc is None else acc + term
-    return acc.scaled(binv)
+        if not term.is_zero():
+            acc = term if acc is None else acc + term
+    return PiecewisePoly.zero(params) if acc is None else acc.scaled(binv)
 
 
 def apply_transfer_iterate(f: PiecewisePoly, k: int) -> PiecewisePoly:
@@ -98,8 +100,11 @@ def pointwise_transfer_power(F, params: BetaParams, k: int, xs,
 
     The branch (x+a0)/beta is admissible only while x <= a1/beta, the
     convention under which the operator formula is an identity on functions
-    supported in [0,1]. Accepts a scalar or an array of sample points;
-    evaluation across sample points is embarrassingly parallel (vectorized).
+    supported in [0,1]; at x = a1/beta the sum is the left limit of P^k F.
+    Since T(1) = a1/beta, the node 1 leads back to the cut through a float
+    node off by up to an ulp, so the cut allows 4 ulps. Accepts a scalar or
+    an array of sample points; evaluation across sample points is
+    embarrassingly parallel (vectorized).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -110,7 +115,7 @@ def pointwise_transfer_power(F, params: BetaParams, k: int, xs,
     if ((pts < 0) | (pts > 1)).any():
         raise ValueError("sample points must lie in [0,1]")
     beta = params.beta_float()
-    cut = params.a1 / beta
+    cut = float(params.power(-1) * params.a1) * (1 + 2.0 ** -50)
     nodes = pts.copy()
     origin = np.arange(len(pts))
     total_nodes = len(nodes)

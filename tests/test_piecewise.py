@@ -7,11 +7,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from betaop import (BetaParams, PiecewisePoly, Polynomial, QuadNum, combine,
                     make_psi_basis, make_u_tilde)
 
 GOLDEN = BetaParams(1, 1)
+ALL_PARAMS_5 = [BetaParams(a0, a1) for a0 in range(1, 6)
+                for a1 in range(1, a0 + 1)]
 
 
 def rational_pw(rng, params, max_pieces=4, max_deg=2):
@@ -193,3 +196,100 @@ def test_json_round_trip():
         assert g.equal_ae(f)
         assert [b.to_string() for b in g.breakpoints] == \
                [b.to_string() for b in f.breakpoints]
+
+
+# -- hypothesis: exact oracles for canonical comparison and pullbacks ------------
+
+
+def quadnums(params, size=6):
+    """Small exact elements p + q*beta of Q(beta)."""
+    return st.builds(lambda a, b, d: QuadNum(Fraction(a, d), Fraction(b, d), params),
+                     st.integers(-size, size), st.integers(-size // 2, size // 2),
+                     st.integers(1, 4))
+
+
+@st.composite
+def piecewise_polys(draw, params):
+    """Up to five pieces, some zero, cut at eighths and at the points j/beta."""
+    pool = ([params.rational(Fraction(i, 8)) for i in range(1, 8)]
+            + [params.power(-1) * j for j in range(1, params.a0 + 1)])
+    cuts = sorted(set(draw(st.lists(st.sampled_from(pool), max_size=4))), key=float)
+    poly = st.one_of(st.just(()), st.lists(quadnums(params), min_size=1, max_size=3))
+    pcs = [Polynomial(draw(poly), params) for _ in range(len(cuts) + 1)]
+    return PiecewisePoly(params, [params.zero()] + cuts + [params.one()], pcs)
+
+
+@st.composite
+def same_field(draw, count):
+    params = draw(st.sampled_from(ALL_PARAMS_5))
+    return params, [draw(piecewise_polys(params)) for _ in range(count)]
+
+
+def midpoints(f):
+    return [(a + b) * Fraction(1, 2) for a, b in zip(f.breakpoints, f.breakpoints[1:])]
+
+
+@settings(deadline=None)
+@given(same_field(2), st.integers(1, 8))
+def test_equal_ae_agrees_with_the_difference(pair, depth):
+    params, (f, g) = pair
+    assert f.equal_ae(g) == (f - g).is_zero()
+    # equal a.e. but built differently
+    rebuilt = (f + g) - g
+    assert rebuilt.equal_ae(f) and (rebuilt - f).is_zero()
+    assert f.scaled(2).scaled(Fraction(1, 2)).equal_ae(f)
+    # perturbed by a tiny rational on a sub-interval
+    tiny = PiecewisePoly.indicator(params, params.zero(), params.power(-depth))
+    nudged = f + tiny.scaled(Fraction(1, 10 ** 30))
+    assert not nudged.equal_ae(f) and not (nudged - f).is_zero()
+
+
+@settings(deadline=None)
+@given(st.sampled_from(ALL_PARAMS_5).flatmap(
+    lambda p: st.tuples(st.lists(quadnums(p), max_size=5), quadnums(p), quadnums(p),
+                        quadnums(p), st.just(p))))
+def test_polynomial_compose_affine_matches_eval(args):
+    coeffs, scale, shift, x, params = args
+    p = Polynomial(coeffs, params)
+    assert p.compose_affine(scale, shift).eval(x) == p.eval(scale * x + shift)
+
+
+def assert_pullback_matches(f, scale, shift):
+    g = f.compose_affine(scale, shift)
+    for m in midpoints(g):
+        y = scale * m + shift
+        inside = y.sign() >= 0 and (y - 1).sign() <= 0
+        assert g.eval(m) == (f.eval(y) if inside else 0)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(ALL_PARAMS_5).flatmap(
+    lambda p: st.tuples(piecewise_polys(p), st.integers(0, 3), st.integers(-4, 4),
+                        st.integers(-2, 2), st.just(p))))
+def test_piecewise_compose_affine_matches_eval(args):
+    f, depth, h_rational, h_beta, params = args
+    shift = QuadNum(Fraction(h_rational, 4), Fraction(h_beta, 4), params)
+    assert_pullback_matches(f, params.power(-depth), shift)
+
+
+def test_compose_affine_on_the_support_edges():
+    params = BetaParams(2, 1)
+    binv = params.power(-1)
+    quad = Polynomial.from_rationals([1, -3, 2], params)
+    block = PiecewisePoly.on_interval(quad, binv, binv * 2)
+    low = PiecewisePoly.on_interval(quad, params.zero(), binv)
+    high = PiecewisePoly.on_interval(quad, binv * 2, params.one())
+    zero = PiecewisePoly.zero(params)
+    half = binv * Fraction(1, 2)
+    for f, shift, expect_zero in (
+            (zero, params.zero(), True),       # zero f
+            (block, params.zero(), True),      # image [0, 1/beta] ends where f starts
+            (block, binv * 2, True),           # image starts where f ends
+            (block, half, False),              # partial overlap on the left
+            (block, binv + half, False),       # partial overlap on the right
+            (low, -half, False),               # image sticks out below 0
+            (high, 1 - half, False),           # image sticks out above 1
+            (high, -binv, True)):              # image misses [0,1] altogether
+        assert f.compose_affine(binv, shift).is_zero() == expect_zero
+        assert_pullback_matches(f, binv, shift)
+    assert zero.compose_affine(binv, params.zero()).equal_ae(zero)

@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from betaop import (BetaParams, PiecewisePoly, Polynomial, QuadNum,
                     apply_integer_transfer, apply_koopman, apply_transfer,
                     apply_transfer_iterate, bernoulli_piecewise, builtin,
-                    greedy_expand, make_psi_basis, make_u_tilde,
-                    pointwise_transfer_power, BudgetExceeded)
+                    building_block, greedy_expand, make_psi_basis, make_u_tilde,
+                    pointwise_transfer_power, refine_to_level, BudgetExceeded)
 
 GOLDEN = BetaParams(1, 1)
 ALL_PARAMS_5 = [BetaParams(a0, a1) for a0 in range(1, 6)
@@ -181,3 +182,55 @@ def test_greedy_reconstruction_random():
 def test_greedy_rejects_out_of_range():
     with pytest.raises(ValueError):
         greedy_expand(GOLDEN.one(), 3)
+
+
+def left_limit(f, x):
+    """lim_{y -> x-} f(y): the piece whose interval ends at or beyond x."""
+    idx = max(i for i, b in enumerate(f.breakpoints[:-1]) if (x - b).sign() > 0)
+    return f.pieces[idx].eval(x)
+
+
+@pytest.mark.parametrize("params", ALL_PARAMS_5, ids=str)
+def test_pointwise_keeps_top_branch_at_the_cut(params):
+    # at x = a1/beta the top branch (x+a0)/beta = 1 is admissible, so the
+    # preimage tree gives the left limit of P^k F there
+    F = builtin("linear")
+    x = params.beta().inverse() * params.a1
+    for k in (1, 2, 3):
+        exact = left_limit(apply_transfer_iterate(F.piecewise(params), k), x)
+        assert pointwise_transfer_power(F, params, k, x) == pytest.approx(
+            float(exact), abs=1e-12)
+
+
+def transfer_by_definition(f, x):
+    """(1/beta) * sum_j f((x+j)/beta), the terms with (x+j)/beta > 1 dropped."""
+    params = f.params
+    binv = params.power(-1)
+    total = params.zero()
+    for j in range(params.a0 + 1):
+        y = (x + j) * binv
+        if (y - 1).sign() <= 0:
+            total = total + f.eval(y)
+    return total * binv
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([p for p in ALL_PARAMS_5 if p.a0 <= 3]), st.integers(1, 3),
+       st.integers(0, 3), st.randoms(use_true_random=False))
+def test_transfer_of_blocks_matches_the_definition(params, M, s, rng):
+    gaps = refine_to_level(params, M).gaps
+    letters = {(g.k_word[0], g.j_word[0]) for g in gaps}
+    assert len(letters) == params.a0 + params.a1
+    for letter in sorted(letters):
+        gap = rng.choice([g for g in gaps if (g.k_word[0], g.j_word[0]) == letter])
+        f = building_block(gap, s)
+        g = apply_transfer(f)
+        for a, b in zip(g.breakpoints, g.breakpoints[1:]):
+            m = (a + b) * Fraction(1, 2)
+            assert g.eval(m) == transfer_by_definition(f, m)
+
+
+def test_transfer_of_zero_is_zero():
+    for params in ALL_PARAMS_5:
+        zero = PiecewisePoly.zero(params)
+        assert apply_transfer(zero).equal_ae(zero)
