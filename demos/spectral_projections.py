@@ -4,11 +4,11 @@ Riesz projections.
 On the span of the psi basis (indicator, rescaled indicator, and their
 Bernoulli-B1 analogues) the operator acts as an upper block-triangular 4x4
 matrix over Q(beta). Its eigenvalues come in the pairs beta^{1-k} and
--a1*beta^{-k-1}; the spectral projections are computed exactly and their
-algebra is verified symbol-for-symbol.
+-a1*beta^{-k-1}; the four spectral projections come from Sylvester's
+formula on the exact matrix, and their algebra is verified symbol-for-symbol.
 """
 
-from betaop import BetaParams, block_eigenvalues, make_psi_basis, restriction_matrix, riesz_projections
+from betaop import BetaParams, block_eigenvalues, riesz_projections
 from betaop.spectral import mat_equal, mat_mul, mat_scale
 
 
@@ -20,14 +20,14 @@ def show_matrix(title, m):
 
 def main() -> None:
     params = BetaParams(1, 1)  # golden ratio
-    m4 = restriction_matrix(make_psi_basis(params, 2)).entries
+    data = riesz_projections(params)
+    m4 = data.matrix
     show_matrix("restriction matrix P4 (golden ratio):", m4)
 
     print("\nblock eigenvalues for nu <= 3:")
     for lam in block_eigenvalues(params, 3):
         print("   %-14s ~ %s" % (lam.to_string(), lam.to_decimal(12)))
 
-    data = riesz_projections(params)
     print("\nprojection algebra (all exact):")
     for i, pi in enumerate(data.projections, start=1):
         lam = data.eigenvalues[i - 1]
@@ -35,12 +35,10 @@ def main() -> None:
         inter = mat_equal(mat_mul(m4, pi), mat_scale(pi, lam))
         print("   Pi%d^2 = Pi%d: %-5s   P4 Pi%d = lambda%d Pi%d: %s" % (
             i, i, idem, i, i, i, inter))
-    for i in range(3):
-        for j in range(3):
+    for i, pi in enumerate(data.projections):
+        for j, pj in enumerate(data.projections):
             if i != j:
-                prod = mat_mul(data.projections[i], data.projections[j])
-                zero = mat_scale(data.projections[i], params.zero())
-                assert mat_equal(prod, zero)
+                assert mat_equal(mat_mul(pi, pj), mat_scale(pi, params.zero()))
     print("   Pi_i Pi_j = 0 for i != j: True")
 
     show_matrix("\nPi1 (column 1 holds the u1 coefficients):", data.pi1)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bernoulli import bernoulli_coeffs
+from .bernoulli import eb_expand
 from .field import BetaParams
 from .piecewise import PiecewisePoly
 from .partition import refine_to_level
@@ -133,15 +133,6 @@ def two_term_residual_numeric(F, params: BetaParams, ks, grid: int = 101,
                           fitted_slope=fit_slope(ks, ups))
 
 
-def _poly_eval_shifted(s: int, scale: float, t: float, y: float) -> float:
-    """B_s(scale*(y-t)) with float Horner."""
-    u = scale * (y - t)
-    acc = 0.0
-    for c in reversed(bernoulli_coeffs(s)):
-        acc = acc * u + c.numerator / c.denominator
-    return acc
-
-
 def hor13_reconstruction(F, params: BetaParams, M: int, N: int,
                          grid: int = 1001) -> tuple[float, float]:
     """Partition-level Euler-Bernoulli expansion of F at level M, order N.
@@ -150,28 +141,14 @@ def hor13_reconstruction(F, params: BetaParams, M: int, N: int,
     |F - expansion| and C = sup_error / (beta^-MN * sup|F^(N)|)."""
     if M > 8:
         raise ValueError("M must be <= 8")
-    partition = refine_to_level(params, M)
-    b = params.beta_float()
-    lefts = [float(g.value) for g in partition.gaps]
-    rights = [float(g.right_endpoint()) for g in partition.gaps]
-    depths = [g.depth for g in partition.gaps]
-    means = [F.integral(a_, b_) for a_, b_ in zip(lefts, rights)]
-    jumps = [[F.deriv_eval(s - 1, b_) - F.deriv_eval(s - 1, a_)
-              for s in range(1, N + 1)] for a_, b_ in zip(lefts, rights)]
+    gaps = refine_to_level(params, M).gaps
+    expansions = [eb_expand(F, g.value, g.right_endpoint(), N) for g in gaps]
     xs = [(2 * i + 1) / (2 * grid) for i in range(grid)]
-    idx = np.searchsorted(lefts, xs, side="right") - 1
-    worst = 0.0
-    for x, i in zip(xs, idx):
-        L = depths[i]
-        scale = b ** L
-        val = scale * means[i]
-        for s in range(1, N + 1):
-            val += (b ** (-L * s) * jumps[i][s - 1] / math.factorial(s)
-                    * scale * _poly_eval_shifted(s, scale, lefts[i], x))
-        worst = max(worst, abs(F(x) - val))
+    idx = np.searchsorted([float(g.value) for g in gaps], xs, side="right") - 1
+    worst = max(abs(F(x) - expansions[i].reconstruct(x)) for x, i in zip(xs, idx))
     dN = F.nth_derivative(N)
     sup_dn = max(abs(dN(x)) for x in xs)
-    denom = b ** (-M * N) * sup_dn
+    denom = params.beta_float() ** (-M * N) * sup_dn
     c = worst / denom if denom > 0 else float("inf")
     return worst, c
 

@@ -162,28 +162,6 @@ def _make_exp_normalized() -> SmoothFunction:
     )
 
 
-def _psi1_factory(params: BetaParams) -> PiecewisePoly:
-    return PiecewisePoly.from_polynomial(
-        Polynomial.from_rationals([Fraction(1)], params))
-
-
-def _psi3_factory(params: BetaParams) -> PiecewisePoly:
-    return PiecewisePoly.from_polynomial(
-        Polynomial.from_rationals([Fraction(-2), Fraction(4)], params))
-
-
-def _make_psi1() -> SmoothFunction:
-    sf = _poly_smooth("psi1", [Fraction(1)])
-    sf.piecewise_factory = _psi1_factory
-    return sf
-
-
-def _make_psi3() -> SmoothFunction:
-    sf = _poly_smooth("psi3", [Fraction(-2), Fraction(4)])
-    sf.piecewise_factory = _psi3_factory
-    return sf
-
-
 def builtin(name: str) -> SmoothFunction:
     """Look up a built-in test function by CLI name."""
     try:
@@ -194,8 +172,8 @@ def builtin(name: str) -> SmoothFunction:
 
 
 _CATALOG = {
-    "psi1": _make_psi1,
-    "psi3": _make_psi3,
+    "psi1": lambda: _poly_smooth("psi1", [Fraction(1)]),
+    "psi3": lambda: _poly_smooth("psi3", [Fraction(-2), Fraction(4)]),
     "linear": lambda: _poly_smooth("linear", [Fraction(0), Fraction(2)]),
     "quadratic": lambda: _poly_smooth("quadratic", [Fraction(0), Fraction(0), Fraction(3)]),
     "cubic": lambda: _poly_smooth("cubic", [Fraction(0), Fraction(0), Fraction(0), Fraction(4)]),

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 
@@ -29,8 +28,7 @@ from .field import BetaParams
 from .partition import refine_to_level
 from .piecewise import PiecewisePoly
 from .spectral import (block_eigenvalues, make_u_tilde, mat_equal, mat_mul,
-                       mat_scale, restriction_matrix, make_psi_basis,
-                       riesz_projections)
+                       mat_scale, riesz_projections)
 from .transfer import BudgetExceeded, apply_transfer_iterate
 
 EXIT_PASS = 0
@@ -42,15 +40,6 @@ EXIT_BUDGET = 3
 def _dec(x: float) -> str:
     """15 significant digits (float formatting rounds half-even)."""
     return "{:.15g}".format(float(x))
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("BETAOP_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SystemExit("BETAOP_THREADS must be an integer, got %r" % raw)
-    return max(1, n)
 
 
 def _write_output(args, text: str, manifest: dict) -> None:
@@ -78,11 +67,8 @@ def _manifest(args, command: str, started: float, extra: dict | None = None) -> 
             "numpy": np.__version__,
             "mpmath": mpmath.__version__,
         },
-        "threads": _thread_count(),
         "elapsed_seconds": round(time.perf_counter() - started, 6),
     }
-    if getattr(args, "seed", None) is not None:
-        doc["seed"] = args.seed
     if extra:
         doc.update(extra)
     return doc
@@ -131,8 +117,8 @@ def cmd_eigen_check(args) -> int:
     data = riesz_projections(params)
     projs = data.projections
     ok_alg = True
-    m4 = restriction_matrix(make_psi_basis(params, 2, normalized=True)).entries
-    for i, (pi, lam) in enumerate(zip(projs, data.eigenvalues[:3])):
+    m4 = data.matrix
+    for i, (pi, lam) in enumerate(zip(projs, data.eigenvalues)):
         ok_alg &= mat_equal(mat_mul(pi, pi), pi)
         ok_alg &= mat_equal(mat_mul(m4, pi), mat_scale(pi, lam))
         ok_alg &= mat_equal(mat_mul(pi, m4), mat_scale(pi, lam))
@@ -320,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--output", help="write data here plus a "
                        "<output>.manifest.json run manifest")
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("eigen-check", help="exact eigenrelation and "
                        "projection-algebra verification")

@@ -1,12 +1,14 @@
 """The psi-basis of invariant subspaces, restriction matrices of the transfer
-operator on span{psi_1,...,psi_2nu}, their block eigenvalues, Riesz
-projections (nu=2), and the three distinguished eigenfunctions u1, u2, u3.
+operator on span{psi_1,...,psi_2nu}, their block eigenvalues, and for nu=2
+the Riesz projections (Sylvester's formula on the exact restriction matrix)
+with the three distinguished eigenfunctions u1, u2, u3 they encode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .bernoulli import bernoulli_polynomial
 from .field import BetaParams, QuadNum
@@ -14,6 +16,7 @@ from .piecewise import PiecewisePoly, Polynomial, combine
 from .transfer import apply_transfer
 
 Matrix = list[list[QuadNum]]
+FrozenMatrix = tuple[tuple[QuadNum, ...], ...]
 
 
 # -- small exact matrix helpers ------------------------------------------------
@@ -55,12 +58,6 @@ def mat_scale(a: Matrix, c: QuadNum) -> Matrix:
 
 def mat_equal(a: Matrix, b: Matrix) -> bool:
     return all((x - y).is_zero() for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def mat_inv2(a: Matrix) -> Matrix:
-    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    d = det.inverse()
-    return [[a[1][1] * d, -a[0][1] * d], [-a[1][0] * d, a[0][0] * d]]
 
 
 # -- psi basis ---------------------------------------------------------------
@@ -195,112 +192,76 @@ def block_eigenvalues(params: BetaParams, nu: int) -> list[QuadNum]:
     return out
 
 
-# -- eigenfunctions and Riesz projections (nu = 2) -----------------------------
+# -- Riesz projections and eigenfunctions (nu = 2) ------------------------------
+
+def sylvester_projections(m: Matrix, eigenvalues: list[QuadNum]) -> list[Matrix]:
+    """Frobenius covariants Pi_i = prod_{j != i} (M - lam_j I)/(lam_i - lam_j)
+    (Sylvester's formula): the Riesz projections of a diagonalisable M whose
+    distinct eigenvalues are exactly `eigenvalues`."""
+    eye = mat_eye(m[0][0].params, len(m))
+    shifted = [mat_sub(m, mat_scale(eye, lam)) for lam in eigenvalues]
+    projections = []
+    for i, lam_i in enumerate(eigenvalues):
+        pi = eye
+        for j, lam_j in enumerate(eigenvalues):
+            if j != i:
+                pi = mat_scale(mat_mul(pi, shifted[j]), (lam_i - lam_j).inverse())
+        projections.append(pi)
+    return projections
+
+
+def _frozen(m: Matrix) -> FrozenMatrix:
+    """Rows as tuples, so the cached SpectralData cannot be changed in place."""
+    return tuple(tuple(row) for row in m)
+
+
+@dataclass(frozen=True)
+class SpectralData:
+    """nu=2 spectral payload: the normalised 4x4 restriction matrix, its
+    eigenvalues, their Riesz projections and the eigenfunctions they encode."""
+
+    params: BetaParams
+    eigenvalues: tuple[QuadNum, ...]
+    matrix: FrozenMatrix
+    projections: tuple[FrozenMatrix, ...]
+    u_tilde: tuple[PiecewisePoly, PiecewisePoly, PiecewisePoly]
+
+    @property
+    def pi1(self) -> FrozenMatrix:
+        return self.projections[0]
+
+    @property
+    def pi2(self) -> FrozenMatrix:
+        return self.projections[1]
+
+    @property
+    def pi3(self) -> FrozenMatrix:
+        return self.projections[2]
+
+
+@lru_cache(maxsize=None)
+def riesz_projections(params: BetaParams) -> SpectralData:
+    """Projections onto the eigenvalues 1, -a1/beta^2, 1/beta, -a1/beta^3 of
+    the 4x4 restriction matrix, from Sylvester's formula; cached per params.
+
+    u1, u2, u3 are the psi-combinations given by column 1 of Pi1, column 1
+    of Pi2 and column 3 of Pi3."""
+    basis = make_psi_basis(params, 2, normalized=True)
+    matrix = restriction_matrix(basis).entries
+    eigs = block_eigenvalues(params, 2)
+    projections = sylvester_projections(matrix, eigs)
+    u_tilde = tuple(combine([(pi[row][col], f) for row, f in enumerate(basis.functions)])
+                    for pi, col in zip(projections, (0, 0, 2)))
+    return SpectralData(params=params, eigenvalues=tuple(eigs),
+                        matrix=_frozen(matrix),
+                        projections=tuple(_frozen(pi) for pi in projections),
+                        u_tilde=u_tilde)
+
 
 def make_u_tilde(params: BetaParams) -> tuple[PiecewisePoly, PiecewisePoly, PiecewisePoly]:
     """The eigenfunctions u1 (invariant density), u2, u3 as combinations of
     psi_1..psi_4."""
-    basis = make_psi_basis(params, 2, normalized=True)
-    psi1, psi2, psi3, psi4 = basis.functions
-    beta = params.beta()
-    a0, a1 = params.a0, params.a1
-    b2 = beta * beta
-    den = (b2 + a1).inverse()
-    u1 = combine([(b2 * den, psi1), (den * a1, psi2)])
-    u2 = combine([(den * a1, psi1), (-(den * a1), psi2)])
-    c = (beta * (2 * a0 * a1)) / ((beta + a1) * (b2 + a1))
-    u3 = combine([
-        (-c, psi1),
-        (c, psi2),
-        (b2 * den, psi3),
-        (beta.inverse() * (a1 * a1) * den, psi4),
-    ])
-    return u1, u2, u3
-
-
-def _pi1(params: BetaParams) -> Matrix:
-    b2 = params.beta() ** 2
-    den = (b2 + params.a1).inverse()
-    a = b2 * den
-    b = den * params.a1
-    return [[a, a], [b, b]]
-
-
-def _pi2(params: BetaParams) -> Matrix:
-    b2 = params.beta() ** 2
-    den = (b2 + params.a1).inverse()
-    a = den * params.a1
-    b = b2 * den
-    return [[a, -b], [-a, b]]
-
-
-def _block_b(params: BetaParams) -> Matrix:
-    c = (params.beta().inverse() ** 3) * (2 * params.a0 * params.a1)
-    z = params.zero()
-    return [[-c, z], [c, z]]
-
-
-def _embed4(params: BetaParams, top_left: Matrix | None, top_right: Matrix | None,
-            bottom_right: Matrix | None) -> Matrix:
-    m = mat_zero(params, 4)
-    if top_left is not None:
-        for i in range(2):
-            for j in range(2):
-                m[i][j] = top_left[i][j]
-    if top_right is not None:
-        for i in range(2):
-            for j in range(2):
-                m[i][j + 2] = top_right[i][j]
-    if bottom_right is not None:
-        for i in range(2):
-            for j in range(2):
-                m[i + 2][j + 2] = bottom_right[i][j]
-    return m
-
-
-@dataclass
-class SpectralData:
-    """nu=2 spectral payload: eigenvalues, Riesz projections and the
-    eigenfunctions they encode."""
-
-    params: BetaParams
-    eigenvalues: list[QuadNum]
-    pi1: Matrix
-    pi2: Matrix
-    pi3: Matrix
-    u_tilde: tuple[PiecewisePoly, PiecewisePoly, PiecewisePoly]
-
-    @property
-    def projections(self) -> list[Matrix]:
-        return [self.pi1, self.pi2, self.pi3]
-
-
-def riesz_projections(params: BetaParams) -> SpectralData:
-    """Projections onto the eigenvalues 1, -a1/beta^2, 1/beta of the 4x4
-    restriction matrix; the starred block of the second projection is
-    computed explicitly so projection algebra can be verified exactly."""
-    beta = params.beta()
-    a1 = params.a1
-    eigs = block_eigenvalues(params, 2)
-    lam2 = eigs[1]
-    blk_c = block_matrix(params, 2)
-    pi1 = _embed4(params, _pi1(params), None, None)
-    # starred block of Pi2: pi2 * B * (lam2*I - C)^{-1}
-    lam2_minus_c = mat_sub(mat_scale(mat_eye(params, 2), lam2), blk_c)
-    star = mat_mul(mat_mul(_pi2(params), _block_b(params)), mat_inv2(lam2_minus_c))
-    pi2 = _embed4(params, _pi2(params), star, None)
-    # Pi3 from the explicit display
-    b2 = beta * beta
-    den = (b2 + a1).inverse()
-    dd = ((beta + a1) * (b2 + a1)).inverse()
-    c01 = beta * (2 * params.a0 * a1) * dd
-    c02 = b2 * (2 * params.a0) * dd
-    pi3_tr = [[-c01, -c02], [c01, c02]]
-    pi3_br = [[b2 * den, beta * b2 * den / a1],
-              [beta.inverse() * (a1 * a1) * den, den * a1]]
-    pi3 = _embed4(params, None, pi3_tr, pi3_br)
-    return SpectralData(params=params, eigenvalues=eigs, pi1=pi1, pi2=pi2, pi3=pi3,
-                        u_tilde=make_u_tilde(params))
+    return riesz_projections(params).u_tilde
 
 
 @dataclass

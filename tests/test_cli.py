@@ -81,7 +81,6 @@ def test_output_file_and_manifest(tmp_path):
     assert manifest["command"] == "asymptotics"
     assert manifest["parameters"]["k_max"] == 10
     assert "betaop" in manifest["versions"]
-    assert manifest["threads"] >= 1
     b = GOLDEN.beta_float()
     assert float(manifest["predicted_slope_bound"]) == \
         pytest.approx(-(8 / 7) * math.log(b), abs=1e-12)

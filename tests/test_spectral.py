@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from betaop import (BetaParams, QuadNum, apply_transfer, block_eigenvalues,
-                    block_matrix, expand_in_basis, fit_slope, make_psi_basis,
-                    make_u_tilde, psi_iterate_decay, restriction_matrix,
-                    riesz_projections)
-from betaop.spectral import mat_equal, mat_mul, mat_scale, mat_zero
+                    block_matrix, builtin, combine, expand_in_basis, fit_slope,
+                    make_psi_basis, make_u_tilde, psi_iterate_decay,
+                    restriction_matrix, riesz_projections)
+from betaop.spectral import (mat_equal, mat_eye, mat_mul, mat_scale, mat_zero,
+                             sylvester_projections)
 
 GOLDEN = BetaParams(1, 1)
 ALL_PARAMS_5 = [BetaParams(a0, a1) for a0 in range(1, 6)
@@ -29,6 +30,100 @@ def expected_p4(params):
         [z, z, binv ** 2 * a0, params.rational(Fraction(1, a1))],
         [z, z, binv ** 4 * a1 * a1, z],
     ]
+
+
+def inverse_2x2(a):
+    d = (a[0][0] * a[1][1] - a[0][1] * a[1][0]).inverse()
+    return [[a[1][1] * d, -a[0][1] * d], [-a[1][0] * d, a[0][0] * d]]
+
+
+def mat_sum(ms):
+    total = ms[0]
+    for m in ms[1:]:
+        total = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(total, m)]
+    return total
+
+
+def display_projections(params):
+    """The paper's displays of Pi1, Pi2 and Pi3 for the normalised nu=2
+    basis. Pi2 carries the starred block pi2 B (lam2 I - C)^{-1}, with B and
+    C the top-right and bottom-right blocks of the restriction matrix."""
+    beta = params.beta()
+    a0, a1 = params.a0, params.a1
+    z = params.zero()
+    b2 = beta * beta
+    den = (b2 + a1).inverse()
+    pi1 = [[b2 * den, b2 * den], [den * a1, den * a1]]
+    pi2 = [[den * a1, -(b2 * den)], [-(den * a1), b2 * den]]
+    p4 = expected_p4(params)
+    blk_b = [row[2:] for row in p4[:2]]
+    blk_c = [row[2:] for row in p4[2:]]
+    lam2 = -(beta.inverse() ** 2) * a1
+    lam2_minus_c = [[lam2 - blk_c[0][0], -blk_c[0][1]],
+                    [-blk_c[1][0], lam2 - blk_c[1][1]]]
+    star = mat_mul(mat_mul(pi2, blk_b), inverse_2x2(lam2_minus_c))
+    dd = ((beta + a1) * (b2 + a1)).inverse()
+    c01 = beta * (2 * a0 * a1) * dd
+    c02 = b2 * (2 * a0) * dd
+    pi3_tr = [[-c01, -c02], [c01, c02]]
+    pi3_br = [[b2 * den, beta * b2 * den / a1],
+              [beta.inverse() * (a1 * a1) * den, den * a1]]
+    zero2 = [[z, z], [z, z]]
+
+    def embed(top_left, top_right, bottom_right):
+        return ([left + right for left, right in zip(top_left, top_right)]
+                + [left + right for left, right in zip(zero2, bottom_right)])
+
+    return [embed(pi1, zero2, zero2), embed(pi2, star, zero2),
+            embed(zero2, pi3_tr, pi3_br)]
+
+
+def display_u_tilde_coords(params):
+    """The paper's psi-coordinates of u1, u2, u3."""
+    beta = params.beta()
+    a0, a1 = params.a0, params.a1
+    z = params.zero()
+    b2 = beta * beta
+    den = (b2 + a1).inverse()
+    c = (beta * (2 * a0 * a1)) / ((beta + a1) * (b2 + a1))
+    return [
+        [b2 * den, den * a1, z, z],
+        [den * a1, -(den * a1), z, z],
+        [-c, c, b2 * den, beta.inverse() * (a1 * a1) * den],
+    ]
+
+
+def test_projections_match_display():
+    for params in ALL_PARAMS_5:
+        data = riesz_projections(params)
+        for pi, display in zip(data.projections, display_projections(params)):
+            assert mat_equal(pi, display)
+        assert mat_equal(mat_sum(data.projections), mat_eye(params, 4))
+
+
+def test_u_tilde_match_display():
+    for params in ALL_PARAMS_5:
+        basis = make_psi_basis(params, 2)
+        for u, coords in zip(make_u_tilde(params), display_u_tilde_coords(params)):
+            assert u.equal_ae(combine(list(zip(coords, basis.functions))))
+
+
+def test_sylvester_projections_nu3():
+    params = BetaParams(2, 1)
+    m = restriction_matrix(make_psi_basis(params, 3, normalized=False)).entries
+    eigs = block_eigenvalues(params, 3)
+    projs = sylvester_projections(m, eigs)
+    for pi, lam in zip(projs, eigs):
+        assert mat_equal(mat_mul(pi, pi), pi)
+        assert mat_equal(mat_mul(m, pi), mat_scale(pi, lam))
+    assert mat_equal(mat_sum(projs), mat_eye(params, 6))
+
+
+def test_catalog_psi_entries_match_basis():
+    for params in (GOLDEN, BetaParams(3, 2)):
+        psi1, _, psi3, _ = make_psi_basis(params, 2).functions
+        assert builtin("psi1").piecewise(params).equal_ae(psi1)
+        assert builtin("psi3").piecewise(params).equal_ae(psi3)
 
 
 def test_restriction_matrix_matches_display():
