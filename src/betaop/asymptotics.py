@@ -80,18 +80,19 @@ def two_term_residual_exact(F: PiecewisePoly, k_max: int, terms: int = 2,
     u1, _, u3 = make_u_tilde(params)
     total = F.integrate()
     f0, f1 = F.boundary_values()
-    jump = (f1 - f0) * Fraction(1, 4)
-    binv = params.beta().inverse()
-    base = u1.scaled(total)
+    binv = params.power(-1)
+    neg_base = u1.scaled(-total)
+    c = (f0 - f1) * Fraction(1, 4)  # -beta^-k (F(1)-F(0))/4 once k steps ran
     ks, lows, ups = [], [], []
     cur = F
     for k in range(1, k_max + 1):
         cur = apply_transfer(cur)
         if len(cur.pieces) > piece_budget:
             raise BudgetExceeded("piece budget exceeded at k=%d" % k)
-        resid = cur - base
+        resid = cur + neg_base
         if terms == 2:
-            resid = resid - u3.scaled(jump * binv ** k)
+            c = c * binv
+            resid = resid + u3.scaled(c)
         lo, up = resid.sup_norm_bracket(samples_per_piece)
         ks.append(k)
         lows.append(lo)

@@ -27,8 +27,8 @@ from .catalog import builtin
 from .field import BetaParams
 from .partition import refine_to_level
 from .piecewise import PiecewisePoly
-from .spectral import (block_eigenvalues, make_u_tilde, mat_equal, mat_mul,
-                       mat_scale, riesz_projections)
+from .spectral import (make_u_tilde, mat_equal, mat_mul, mat_scale,
+                       riesz_projections)
 from .transfer import BudgetExceeded, apply_transfer_iterate
 
 EXIT_PASS = 0
@@ -92,6 +92,9 @@ def _load_function(args):
 def cmd_eigen_check(args) -> int:
     started = time.perf_counter()
     params = _params(args)
+    if args.nu != 2:
+        raise ValueError("--nu %d: the eigenrelation and projection checks "
+                         "exist only at nu = 2" % args.nu)
     lines = []
     failures = 0
 
@@ -113,8 +116,8 @@ def cmd_eigen_check(args) -> int:
     check("integral u2 = 0", u2.integrate().is_zero())
     check("integral u3 = 0", u3.integrate().is_zero())
 
-    eigs = block_eigenvalues(params, args.nu)
     data = riesz_projections(params)
+    eigs = data.eigenvalues
     projs = data.projections
     ok_alg = True
     m4 = data.matrix
@@ -388,3 +391,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -59,6 +59,12 @@ def _beta_power(params: BetaParams, n: int) -> "QuadNum":
     return params.beta() ** n
 
 
+@lru_cache(maxsize=64)
+def _scaled_isqrt(D: int, m: int) -> int:
+    """floor(sqrt(D) * 2^m), constant per field and precision."""
+    return isqrt(D << (2 * m))
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -282,7 +288,7 @@ class QuadNum:
         m = 64
         while True:
             # sqrt(D) within 2^-m, so n / 2^m is within |b| / 2^m of r + b*sqrt(D)
-            n = (r << m) + b * isqrt(D << (2 * m))
+            n = (r << m) + b * _scaled_isqrt(D, m)
             if abs(n) > abs(b) << 60:
                 return n / ((2 * d) << m)  # int / int rounds correctly
             m *= 2
@@ -330,6 +336,36 @@ class QuadNum:
         qs = str(abs(self.q)) + "*beta"
         op = "+" if self.q > 0 else "-"
         return "%s%s%s" % (self.p, op, qs)
+
+
+def affine_horner(coeffs, scale: QuadNum, shift: QuadNum) -> list:
+    """Coefficients (ascending) of x -> sum_i c_i (scale*x + shift)^i.
+
+    Horner on integer pairs u + v*beta over one denominator: with L the lcm
+    of the coefficient denominators and E = lcm(d_scale, d_shift), it is
+    sum_i L c_i E^(n-i) (E shift + E scale x)^i / (L E^n), normalised once
+    per output coefficient."""
+    params = scale.params
+    a0, a1 = params.a0, params.a1
+    L = math.lcm(*(c.d for c in coeffs))
+    E = math.lcm(scale.d, shift.d)
+    sa, sb = scale.a * (E // scale.d), scale.b * (E // scale.d)
+    ha, hb = shift.a * (E // shift.d), shift.b * (E // shift.d)
+    acc, w = [], 1  # w = E^(n-i) at coefficient i
+    for c in reversed(coeffs):
+        # acc <- acc*(H + S x) + L c_i E^(n-i), with beta^2 = a0 beta + a1
+        out, pu, pv = [], 0, 0  # (pu, pv): the previous entry times S
+        for u, v in acc:
+            cross = v * hb
+            out.append((u * ha + cross * a1 + pu, u * hb + v * ha + cross * a0 + pv))
+            cross = v * sb
+            pu, pv = u * sa + cross * a1, u * sb + v * sa + cross * a0
+        out.append((pu, pv))
+        m = L // c.d * w
+        out[0] = (out[0][0] + c.a * m, out[0][1] + c.b * m)
+        acc, w = out, w * E
+    den = L * (w // E)
+    return [_make(u, v, den, params) for u, v in acc]
 
 
 def quadnum_from_string(text: str, params: BetaParams) -> QuadNum:

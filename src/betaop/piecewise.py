@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .field import BetaParams, QuadNum, quadnum_from_string
+from .field import BetaParams, QuadNum, affine_horner, quadnum_from_string
 
 DEGREE_CAP = 64
 
@@ -102,13 +103,7 @@ class Polynomial:
         """The polynomial x -> p(scale*x + shift)."""
         if not self.coeffs:
             return self
-        # Horner on coefficient lists: acc <- acc*(shift + scale*x) + c
-        acc = [self.coeffs[-1]]
-        for c in reversed(self.coeffs[:-1]):
-            acc = ([acc[0] * shift + c]
-                   + [a * shift + b * scale for a, b in zip(acc[1:], acc)]
-                   + [acc[-1] * scale])
-        return Polynomial(acc, self.params)
+        return Polynomial(affine_horner(self.coeffs, scale, shift), self.params)
 
     def float_coeffs(self) -> np.ndarray:
         # descending order for np.polyval
@@ -117,6 +112,25 @@ class Polynomial:
 
     def __repr__(self):
         return "Polynomial([%s])" % ", ".join(c.to_string() for c in self.coeffs)
+
+
+def _merged(bps: Sequence[QuadNum], pcs: Sequence[Polynomial]):
+    """Breakpoints and pieces with adjacent identical pieces merged."""
+    mb, mp = [bps[0]], []
+    for b, p in zip(bps[1:], pcs):
+        if mp and mp[-1] == p:
+            mb[-1] = b
+        else:
+            mb.append(b)
+            mp.append(p)
+    return mb, mp
+
+
+@lru_cache(maxsize=8)
+def _chebyshev_nodes(n: int) -> np.ndarray:
+    theta = np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
+    theta.setflags(write=False)
+    return theta
 
 
 class PiecewisePoly:
@@ -137,16 +151,16 @@ class PiecewisePoly:
         for a, b in zip(bps, bps[1:]):
             if (b - a).sign() <= 0:
                 raise ValueError("breakpoints must be strictly increasing")
-        # merge adjacent identical pieces
-        mb, mp = [bps[0]], []
-        for b, p in zip(bps[1:], pcs):
-            if mp and mp[-1] == p:
-                mb[-1] = b
-            else:
-                mb.append(b)
-                mp.append(p)
-        self.breakpoints = mb
-        self.pieces = mp
+        self.breakpoints, self.pieces = _merged(bps, pcs)
+
+    @classmethod
+    def _trusted(cls, params: BetaParams, breakpoints: list,
+                 pieces: list) -> "PiecewisePoly":
+        """Internal constructor without checks: the breakpoints run strictly
+        increasing from 0 to 1 and adjacent pieces are distinct."""
+        f = object.__new__(cls)
+        f.params, f.breakpoints, f.pieces = params, breakpoints, pieces
+        return f
 
     # -- constructors --------------------------------------------------------
 
@@ -226,7 +240,7 @@ class PiecewisePoly:
         while True:
             an = self.breakpoints[i + 1]
             bn = other.breakpoints[j + 1]
-            s = (an - bn).sign()
+            s = 0 if an == bn else (an - bn).sign()
             pairs.append((i, j))
             bps.append(an if s <= 0 else bn)
             if s <= 0:
@@ -239,7 +253,7 @@ class PiecewisePoly:
     def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         bps, pairs = self._zip_pieces(other)
         pcs = [self.pieces[i] + other.pieces[j] for i, j in pairs]
-        return PiecewisePoly(self.params, bps, pcs)
+        return PiecewisePoly._trusted(self.params, *_merged(bps, pcs))
 
     def __sub__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         return self + other.scaled(QuadNum(-1, 0, self.params))
@@ -247,13 +261,16 @@ class PiecewisePoly:
     def __mul__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         bps, pairs = self._zip_pieces(other)
         pcs = [self.pieces[i] * other.pieces[j] for i, j in pairs]
-        return PiecewisePoly(self.params, bps, pcs)
+        return PiecewisePoly._trusted(self.params, *_merged(bps, pcs))
 
     def scaled(self, factor) -> "PiecewisePoly":
         if isinstance(factor, (int, Fraction)):
             factor = QuadNum(factor, 0, self.params)
-        return PiecewisePoly(self.params, self.breakpoints,
-                             [p.scaled(factor) for p in self.pieces])
+        pcs = [p.scaled(factor) for p in self.pieces]
+        if factor.is_zero():
+            return PiecewisePoly._trusted(self.params, *_merged(self.breakpoints, pcs))
+        # a non-zero factor keeps adjacent pieces distinct
+        return PiecewisePoly._trusted(self.params, self.breakpoints, pcs)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.pieces)
@@ -289,35 +306,31 @@ class PiecewisePoly:
             lo = zero_q
         if (hi - one_q).sign() > 0:
             hi = one_q
-        # interior cuts are pullbacks of the breakpoints inside the support;
-        # the input piece index on [cut_m, next) is m, so no per-segment
-        # search is needed
-        cuts = []
-        for m in range(first + 1, last + 1):
-            x = (self.breakpoints[m] - shift) * inv
-            if (x - lo).sign() > 0 and (hi - x).sign() > 0:
-                cuts.append((x, m))
-        if cuts:
-            start_idx = cuts[0][1] - 1
-        else:
-            mid = (lo + hi) * Fraction(1, 2)
-            start_idx = self._piece_index(mid * scale + shift)
         zp = Polynomial.zero(self.params)
         bps, pcs = [zero_q], []
         if lo.sign() > 0:
             bps.append(lo)
             pcs.append(zp)
-        idx = start_idx
-        for x, m in cuts:
-            bps.append(x)
-            pcs.append(self.pieces[idx].compose_affine(scale, shift))
-            idx = m
+        # interior cuts are pullbacks of the breakpoints inside (lo, hi); the
+        # input piece on [cut of m, next cut) is m, and before the first cut it
+        # is the last m whose pullback lies at or below lo
+        idx = first
+        for m in range(first + 1, last + 1):
+            x = (self.breakpoints[m] - shift) * inv
+            if (x - lo).sign() <= 0:
+                idx = m
+            elif (hi - x).sign() <= 0:
+                break
+            else:
+                bps.append(x)
+                pcs.append(self.pieces[idx].compose_affine(scale, shift))
+                idx = m
         bps.append(hi)
         pcs.append(self.pieces[idx].compose_affine(scale, shift))
         if (one_q - hi).sign() > 0:
             bps.append(one_q)
             pcs.append(zp)
-        return PiecewisePoly(self.params, bps, pcs)
+        return PiecewisePoly._trusted(self.params, *_merged(bps, pcs))
 
     def integrate(self) -> QuadNum:
         """Exact integral over [0,1]."""
@@ -351,8 +364,7 @@ class PiecewisePoly:
             raise ValueError("samples_per_piece must be >= 2")
         lower = 0.0
         upper_slack = 0.0
-        theta = np.cos(np.pi * (2 * np.arange(samples_per_piece) + 1)
-                       / (2 * samples_per_piece))
+        theta = _chebyshev_nodes(samples_per_piece)
         for a, b, p in zip(self.breakpoints, self.breakpoints[1:], self.pieces):
             if p.is_zero():
                 continue

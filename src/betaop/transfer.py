@@ -45,33 +45,15 @@ def apply_transfer_iterate(f: PiecewisePoly, k: int) -> PiecewisePoly:
 
 
 def apply_koopman(g: PiecewisePoly) -> PiecewisePoly:
-    """Exact g(T(x)): on each branch [j/beta, (j+1)/beta) substitute beta*x - j."""
+    """Exact g(T(x)): on each branch [j/beta, (j+1)/beta) substitute beta*x - j.
+    The pull-back x -> g(beta*x - j) vanishes off that branch, so the
+    branches add up."""
     params = g.params
     beta = params.beta()
-    binv = beta.inverse()
-    zero_q, one_q = params.zero(), params.one()
-    bps = [zero_q]
-    pcs = []
-    for j in range(params.a0 + 1):
-        left = binv * j
-        right = binv * (j + 1)
-        if (right - one_q).sign() > 0:
-            right = one_q
-        if (right - left).sign() <= 0:
-            break
-        # interior breakpoints of this branch: preimages (b+j)/beta
-        cuts = []
-        for b in g.breakpoints[1:-1]:
-            x = (b + j) * binv
-            if (x - left).sign() > 0 and (right - x).sign() > 0:
-                cuts.append(x)
-        seg_bps = [left] + cuts + [right]
-        for a, b in zip(seg_bps, seg_bps[1:]):
-            mid = (a + b) * Fraction(1, 2)
-            piece = g.pieces[g._piece_index(mid * beta - j)]
-            bps.append(b)
-            pcs.append(piece.compose_affine(beta, QuadNum(-j, 0, params)))
-    return PiecewisePoly(params, bps, pcs)
+    acc = g.compose_affine(beta, params.zero())
+    for j in range(1, params.a0 + 1):
+        acc = acc + g.compose_affine(beta, QuadNum(-j, 0, params))
+    return acc
 
 
 def apply_integer_transfer(f: PiecewisePoly, q: int) -> PiecewisePoly:

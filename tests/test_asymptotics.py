@@ -1,12 +1,14 @@
 """Two-term iteration asymptotics, the epsilon bookkeeping, partition-level
 reconstruction, decomposition budgets, and slope fitting."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from betaop import (BetaParams, BudgetExceeded, builtin, chosen_level,
+from betaop import (BetaParams, BudgetExceeded, apply_transfer, builtin, chosen_level,
                     epsilon_of, fit_slope, hor13_reconstruction,
                     lemmaPk_decomposition_check,
                     make_psi_basis, make_u_tilde, two_term_residual_exact,
@@ -140,3 +142,28 @@ def test_chosen_level():
     assert chosen_level(14, 7) == 6
     assert chosen_level(10, 7) == 4
     assert chosen_level(9, 8) == 3
+
+
+def iteration_digest(params, k_max=40):
+    """SHA-256 over the exact iterates P^k F (k <= k_max, F cubic) and over
+    the floats of their two-term residual series."""
+    F = builtin("cubic").piecewise(params)
+    h = hashlib.sha256()
+    cur = F
+    for _ in range(k_max):
+        cur = apply_transfer(cur)
+        h.update(json.dumps(cur.to_json_dict(), sort_keys=True).encode())
+    series = two_term_residual_exact(F, k_max)
+    floats = series.residual_lower + series.residual_upper + [series.fitted_slope]
+    h.update(" ".join(x.hex() for x in floats).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("a0, a1, digest", [
+    (1, 1, "db167a7b1b1de5c2cfb82e1a179814264ea835848b920e3e674ff7b23c148d8e"),
+    (5, 5, "b211f5757c9514eb1ee5e4408cc9e4a87ebc1772149e875d2b5655764e829c36"),
+])
+def test_iterates_and_residuals_are_bit_identical(a0, a1, digest):
+    # digests of the iterates and residual floats as computed before the
+    # integer-pair Horner; any changed bit of a result changes them
+    assert iteration_digest(BetaParams(a0, a1)) == digest

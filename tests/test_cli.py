@@ -159,3 +159,23 @@ def test_cli_import_loads_no_scipy():
     loaded_from, scipy_modules = done.stdout.splitlines()
     assert Path(loaded_from).resolve().is_relative_to(src)
     assert scipy_modules == "[]"
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["eigen-check", "--a0", "1", "--a1", "1"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "betaop.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stdout == expected
+    bad = subprocess.run([sys.executable, "-m", "betaop.cli", "eigen-check", "--bogus"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert bad.returncode == 2
+
+
+def test_eigen_check_other_nu_is_a_usage_error(capsys):
+    assert run(["eigen-check", "--a0", "2", "--a1", "1", "--nu", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "only at nu = 2" in captured.err
+    assert run(["eigen-check", "--a0", "2", "--a1", "1", "--nu", "2"]) == 0

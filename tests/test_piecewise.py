@@ -293,3 +293,55 @@ def test_compose_affine_on_the_support_edges():
         assert f.compose_affine(binv, shift).is_zero() == expect_zero
         assert_pullback_matches(f, binv, shift)
     assert zero.compose_affine(binv, params.zero()).equal_ae(zero)
+
+
+# -- integer-pair Horner and internal construction ----------------------------
+
+BIG = 2 ** 400
+
+
+def big_quadnums(params):
+    """Elements whose numerators and denominators reach 400 bits."""
+    return st.builds(lambda a, b, d, e: QuadNum(Fraction(a, d), Fraction(b, e), params),
+                     st.integers(-BIG, BIG), st.integers(-BIG, BIG),
+                     st.integers(1, BIG), st.integers(1, BIG))
+
+
+def horner_oracle(p, scale, shift):
+    """p(scale*x + shift) by Horner in QuadNum arithmetic on coefficient lists."""
+    if not p.coeffs:
+        return p
+    acc = [p.coeffs[-1]]
+    for c in reversed(p.coeffs[:-1]):
+        acc = ([acc[0] * shift + c]
+               + [a * shift + b * scale for a, b in zip(acc[1:], acc)]
+               + [acc[-1] * scale])
+    return Polynomial(acc, p.params)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(ALL_PARAMS_5).flatmap(
+    lambda p: st.tuples(st.lists(big_quadnums(p), min_size=1, max_size=7),
+                        big_quadnums(p), big_quadnums(p), st.just(p))))
+def test_integer_pair_horner_matches_quadnum_horner(args):
+    coeffs, scale, shift, params = args
+    if scale.sign() < 0:
+        scale = -scale
+    elif scale.is_zero():
+        scale = params.one()
+    p = Polynomial(coeffs, params)
+    assert p.compose_affine(scale, shift) == horner_oracle(p, scale, shift)
+    assert p.compose_affine(params.power(-1), params.power(-1) * params.a0) \
+        == horner_oracle(p, params.power(-1), params.power(-1) * params.a0)
+
+
+def test_internal_constructions_stay_canonical():
+    params = BetaParams(2, 1)
+    binv = params.power(-1)
+    quad = Polynomial.from_rationals([1, -3, 2], params)
+    f = PiecewisePoly.on_interval(quad, binv, binv * 2)
+    for g in (f + f.scaled(-1), f.scaled(0), f * PiecewisePoly.zero(params)):
+        assert g.breakpoints == [params.zero(), params.one()] and g.is_zero()
+    twice = f.scaled(2)
+    rebuilt = PiecewisePoly(params, twice.breakpoints, twice.pieces)
+    assert twice.breakpoints == rebuilt.breakpoints and twice.pieces == rebuilt.pieces

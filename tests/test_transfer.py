@@ -101,6 +101,39 @@ def test_koopman_is_composition():
     assert np.allclose(kg.eval_float(xs), direct, atol=1e-12)
 
 
+def test_koopman_equals_exact_composition_on_random_functions():
+    """apply_koopman(g) = g(beta*x - floor(beta*x)) exactly: on every interval
+    between its breakpoints, the branch points j/beta and the preimages of the
+    breakpoints of g, both sides are polynomials of degree <= 3, so five exact
+    evaluations per interval decide equality."""
+    rng = random.Random(7)
+    for params in ALL_PARAMS_5:
+        beta, binv = params.beta(), params.power(-1)
+        pool = ([params.rational(Fraction(i, 8)) for i in range(1, 8)]
+                + [binv * j for j in range(1, params.a0 + 1)]
+                + [params.power(-2) * j for j in (1, 2)])
+        pool = [x for x in pool if 0 < float(x) < 1]
+        for _ in range(12):
+            cuts = sorted(set(rng.sample(pool, rng.randint(0, min(4, len(pool))))))
+            pcs = [Polynomial((), params) if rng.random() < 0.3 else
+                   Polynomial([QuadNum(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                                       Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                       params) for _ in range(rng.randint(1, 4))], params)
+                   for _ in range(len(cuts) + 1)]
+            g = PiecewisePoly(params, [params.zero()] + cuts + [params.one()], pcs)
+            kg = apply_koopman(g)
+            again = PiecewisePoly(params, kg.breakpoints, kg.pieces)
+            assert kg.breakpoints == again.breakpoints and kg.pieces == again.pieces
+            grid = set(kg.breakpoints) | {binv * j for j in range(params.a0 + 1)}
+            grid |= {(b + j) * binv for b in g.breakpoints for j in range(params.a0 + 1)}
+            grid = sorted(x for x in grid if 0 <= x <= 1)
+            for lo, hi in zip(grid, grid[1:]):
+                for t in range(1, 6):
+                    x = lo + (hi - lo) * Fraction(t, 6)
+                    y = beta * x
+                    assert kg.eval(x) == g.eval(y - y.floor())
+
+
 def test_integer_transfer_eigenrelations():
     params = GOLDEN
     chi = PiecewisePoly.from_polynomial(Polynomial.constant(params.one()))
