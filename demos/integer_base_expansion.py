@@ -30,7 +30,7 @@ def main() -> None:
     F = builtin("sin")
     ks = list(range(6, 15))
     with mp.workdps(60):
-        res = [integer_base_expansion_residual(F, q, k, N, 41, use_mp=True)
+        res = [integer_base_expansion_residual(F, q, k, N, 41)
                for k in ks]
     print("\nresiduals of the order-%d expansion of Q^k sin (q=%d):" % (N, q))
     for k, r in zip(ks, res):

@@ -38,6 +38,8 @@ def fit_slope(ks, values) -> float:
     fell below the floating-noise floor relative to the initial residual."""
     ks = np.asarray(ks, dtype=float)
     values = np.asarray(values, dtype=float)
+    if values.size < 2:
+        raise ValueError("a slope fit needs at least two points, got %d" % values.size)
     initial = values[0]
     mask = (ks > FIT_SKIP) & (values > NOISE_FLOOR_RATIO * initial) & (values > 0)
     if mask.sum() < 2:
@@ -68,14 +70,16 @@ def epsilon_of(params: BetaParams, N: int) -> TheoremParams:
 
 
 def two_term_residual_exact(F: PiecewisePoly, k_max: int, terms: int = 2,
-                            samples_per_piece: int = 32,
                             piece_budget: int = 10 ** 6) -> ResidualSeries:
-    """Certified sup-norm brackets of P^k F minus its expansion, exact engine.
+    """Certified sup-norm brackets of P^k F minus its expansion, exact engine,
+    for k = 1..k_max.
 
     terms=2 subtracts u1*integral(F) and beta^-k * u3 * (F(1)-F(0))/4;
     terms=1 subtracts only the invariant part."""
     if terms not in (1, 2):
         raise ValueError("terms must be 1 or 2")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1, got %d" % k_max)
     params = F.params
     u1, _, u3 = make_u_tilde(params)
     total = F.integrate()
@@ -93,7 +97,7 @@ def two_term_residual_exact(F: PiecewisePoly, k_max: int, terms: int = 2,
         if terms == 2:
             c = c * binv
             resid = resid + u3.scaled(c)
-        lo, up = resid.sup_norm_bracket(samples_per_piece)
+        lo, up = resid.sup_norm_bracket()
         ks.append(k)
         lows.append(lo)
         ups.append(up)
@@ -105,14 +109,12 @@ def two_term_residual_exact(F: PiecewisePoly, k_max: int, terms: int = 2,
                           fitted_slope=slope)
 
 
-def two_term_residual_numeric(F, params: BetaParams, ks, grid: int = 101,
-                              terms: int = 2) -> ResidualSeries:
-    """Grid sup of the residual using the pointwise preimage engine; the
-    eigenfunctions are evaluated exactly at the grid points."""
+def two_term_residual_numeric(F, params: BetaParams, ks,
+                              grid: int = 101) -> ResidualSeries:
+    """Grid sup of the two-term residual using the pointwise preimage engine;
+    the eigenfunctions are evaluated exactly at the grid points."""
     if grid < 101:
         raise ValueError("grid must be >= 101")
-    if terms not in (1, 2):
-        raise ValueError("terms must be 1 or 2")
     u1, _, u3 = make_u_tilde(params)
     xs = np.array([(2 * i + 1) / (2 * grid) for i in range(grid)])
     u1_vals = u1.eval_float(xs)
@@ -124,9 +126,7 @@ def two_term_residual_numeric(F, params: BetaParams, ks, grid: int = 101,
     lows, ups = [], []
     for k in ks:
         pk = pointwise_transfer_power(F, params, k, xs)
-        resid = pk - u1_vals * total
-        if terms == 2:
-            resid = resid - b ** (-k) * u3_vals * jump
+        resid = pk - u1_vals * total - b ** (-k) * u3_vals * jump
         sup = float(np.abs(resid).max())
         lows.append(sup)
         ups.append(sup)

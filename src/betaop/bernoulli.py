@@ -11,7 +11,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-import numpy as np
 
 from .field import BetaParams, QuadNum
 from .piecewise import PiecewisePoly, Polynomial
@@ -123,52 +122,40 @@ def eb_expand(F, a: QuadNum, b: QuadNum, N: int) -> EBExpansion:
     return EBExpansion(mean=mean, jump_coeffs=jumps, interval=(a, b), N=N)
 
 
-def integer_transfer_pointwise(F, q: int, k: int, x, use_mp: bool = False):
+def integer_transfer_pointwise(F, q: int, k: int, x):
     """(Q^k F)(x) = q^-k * sum_{j<q^k} F((x+j)/q^k), the exact uniform
-    preimage tree of the integer-base operator."""
-    n = q ** k
+    preimage tree of the integer-base operator, in mpmath working precision."""
     if getattr(F, "qk_integer_transfer", None) is not None:
-        return F.qk_integer_transfer(x, q, k, use_mp)
-    if use_mp:
-        h = mp.mpf(1) / n
-        return mp.fsum(F.mp_eval((x + j) * h) for j in range(n)) * h
-    j = np.arange(n, dtype=float)
-    return float(math.fsum(F(v) for v in (x + j) / n) / n)
+        return F.qk_integer_transfer(x, q, k)
+    n = q ** k
+    h = mp.mpf(1) / n
+    return mp.fsum(F.mp_eval((x + j) * h) for j in range(n)) * h
 
 
-def integer_base_expansion_residual(F, q: int, k: int, N: int, grid: int,
-                                    use_mp: bool = False,
-                                    include_last: bool = False) -> float:
+def integer_base_expansion_residual(F, q: int, k: int, N: int, grid: int) -> float:
     """Sup over a grid of the order-N residual of (Q^k F): the transfer sum
     minus the integral term and the q^{-jk} jump terms with j < N, so the
     residual is dominated by the first neglected term and decays like
-    q^{-Nk}. With include_last=True the j = N term is subtracted as well
-    (useful when the expansion terminates exactly, e.g. for Bernoulli
-    polynomials).
+    q^{-Nk}. Where the expansion terminates (a Bernoulli polynomial of
+    degree n), order n + 1 subtracts every term.
 
-    With use_mp=True the transfer sum and the expansion are evaluated in
-    mpmath working precision, which resolves residuals below double
-    round-off."""
+    The transfer sum and the expansion are evaluated in mpmath working
+    precision (raise it with mpmath.workdps), which resolves residuals below
+    double round-off."""
     if q < 2 or k < 1:
         raise ValueError("need q >= 2 and k >= 1")
-    top = N + 1 if include_last else N
     xs = [(2 * i + 1) / (2 * grid) for i in range(grid)]
-    if use_mp:
-        one, zero = mp.mpf(1), mp.mpf(0)
-        integral = F.mp_integral(zero, one)
-        jumps = [F.mp_deriv_eval(j - 1, one) - F.mp_deriv_eval(j - 1, zero)
-                 for j in range(1, top)]
-    else:
-        integral = F.integral(0.0, 1.0)
-        jumps = [F.deriv_eval(j - 1, 1.0) - F.deriv_eval(j - 1, 0.0)
-                 for j in range(1, top)]
-    worst = mp.mpf(0) if use_mp else 0.0
+    one, zero = mp.mpf(1), mp.mpf(0)
+    integral = F.mp_integral(zero, one)
+    jumps = [F.mp_deriv_eval(j - 1, one) - F.mp_deriv_eval(j - 1, zero)
+             for j in range(1, N)]
+    worst = mp.mpf(0)
     for x in xs:
-        xv = mp.mpf(x) if use_mp else x
-        lhs = integer_transfer_pointwise(F, q, k, xv, use_mp=use_mp)
+        xv = mp.mpf(x)
+        lhs = integer_transfer_pointwise(F, q, k, xv)
         rhs = integral
         for j, jump in enumerate(jumps, start=1):
-            scale = mp.mpf(q) ** (-j * k) if use_mp else q ** (-j * k)
+            scale = mp.mpf(q) ** (-j * k)
             rhs = rhs + scale * jump * periodized_eval(j, xv) / math.factorial(j)
         err = abs(lhs - rhs)
         if err > worst:

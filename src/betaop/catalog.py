@@ -111,13 +111,10 @@ def _mp_sin_cycle(order: int) -> Callable:
     return [mp.sin, mp.cos, lambda x: -mp.sin(x), lambda x: -mp.cos(x)][order % 4]
 
 
-def _sin_qk(x, q: int, k: int, use_mp: bool):
+def _sin_qk(x, q: int, k: int):
     # closed form: sum_{j<n} sin((x+j)h) = sin(xh + (1-h)/2) sin(1/2)/sin(h/2), h = 1/n
-    if use_mp:
-        h = mp.mpf(q) ** (-k)
-        return h * mp.sin(x * h + (1 - h) / 2) * mp.sin(mp.mpf(1) / 2) / mp.sin(h / 2)
-    h = float(q) ** (-k)
-    return h * math.sin(x * h + (1 - h) / 2) * math.sin(0.5) / math.sin(h / 2)
+    h = mp.mpf(q) ** (-k)
+    return h * mp.sin(x * h + (1 - h) / 2) * mp.sin(mp.mpf(1) / 2) / mp.sin(h / 2)
 
 
 def _make_sin() -> SmoothFunction:

@@ -27,8 +27,7 @@ from .catalog import builtin
 from .field import BetaParams
 from .partition import refine_to_level
 from .piecewise import PiecewisePoly
-from .spectral import (make_u_tilde, mat_equal, mat_mul, mat_scale,
-                       riesz_projections)
+from .spectral import mat_equal, mat_mul, mat_scale, riesz_projections
 from .transfer import BudgetExceeded, apply_transfer_iterate
 
 EXIT_PASS = 0
@@ -42,23 +41,32 @@ def _dec(x: float) -> str:
     return "{:.15g}".format(float(x))
 
 
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _write_output(args, text: str, manifest: dict) -> None:
     """Write the data file plus a sibling <path>.manifest.json; without
     --output the data goes to stdout and no manifest file is created."""
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
         with open(args.output + ".manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json(manifest))
     else:
         sys.stdout.write(text)
 
 
-def _manifest(args, command: str, started: float, extra: dict | None = None) -> dict:
+def _manifest(args, started: float, extra: dict) -> dict:
     doc = {
         "schema": 1,
-        "command": command,
+        "command": args.command,
         "parameters": {k: v for k, v in sorted(vars(args).items())
                        if k not in ("func", "output") and v is not None},
         "versions": {
@@ -69,8 +77,7 @@ def _manifest(args, command: str, started: float, extra: dict | None = None) -> 
         },
         "elapsed_seconds": round(time.perf_counter() - started, 6),
     }
-    if extra:
-        doc.update(extra)
+    doc.update(extra)
     return doc
 
 
@@ -79,49 +86,36 @@ def _params(args) -> BetaParams:
 
 
 def _load_function(args):
-    """A catalog entry, or a PiecewisePoly read from --piecewise-json."""
-    if getattr(args, "piecewise_json", None):
-        with open(args.piecewise_json) as fh:
-            return PiecewisePoly.from_json_dict(json.load(fh))
-    return builtin(args.F)
+    """A catalog entry, or a PiecewisePoly read from --piecewise-json, which
+    must be over the field that --a0/--a1 name."""
+    if not args.piecewise_json:
+        return builtin(args.F)
+    with open(args.piecewise_json) as fh:
+        F = PiecewisePoly.from_json_dict(json.load(fh))
+    if F.params != _params(args):
+        raise ValueError("--piecewise-json %s is over a0=%d a1=%d, not --a0 %d --a1 %d"
+                         % (args.piecewise_json, F.params.a0, F.params.a1,
+                            args.a0, args.a1))
+    return F
 
 
 # -- commands -------------------------------------------------------------------
+# Each returns (text, manifest extras, exit code); main writes and times them.
 
 
-def cmd_eigen_check(args) -> int:
-    started = time.perf_counter()
+def cmd_eigen_check(args):
     params = _params(args)
     if args.nu != 2:
         raise ValueError("--nu %d: the eigenrelation and projection checks "
                          "exist only at nu = 2" % args.nu)
-    lines = []
-    failures = 0
-
-    def check(label: str, ok: bool):
-        nonlocal failures
-        lines.append("%s %s" % ("PASS" if ok else "FAIL", label))
-        if not ok:
-            failures += 1
-
-    u1, u2, u3 = make_u_tilde(params)
-    binv = params.beta().inverse()
-    lam2 = -(binv ** 2) * params.a1
-    check("P u1 = u1", apply_transfer_iterate(u1, 1).equal_ae(u1))
-    check("P u2 = (-a1/beta^2) u2",
-          apply_transfer_iterate(u2, 1).equal_ae(u2.scaled(lam2)))
-    check("P u3 = (1/beta) u3",
-          apply_transfer_iterate(u3, 1).equal_ae(u3.scaled(binv)))
-    check("integral u1 = 1", (u1.integrate() - 1).is_zero())
-    check("integral u2 = 0", u2.integrate().is_zero())
-    check("integral u3 = 0", u3.integrate().is_zero())
-
     data = riesz_projections(params)
     eigs = data.eigenvalues
+    _, lam2, binv, _ = eigs
+    u1, u2, u3 = data.u_tilde
     projs = data.projections
-    ok_alg = True
     m4 = data.matrix
-    for i, (pi, lam) in enumerate(zip(projs, data.eigenvalues)):
+    ok_alg = True
+    for i, (pi, lam) in enumerate(zip(projs, eigs)):
         ok_alg &= mat_equal(mat_mul(pi, pi), pi)
         ok_alg &= mat_equal(mat_mul(m4, pi), mat_scale(pi, lam))
         ok_alg &= mat_equal(mat_mul(pi, m4), mat_scale(pi, lam))
@@ -129,32 +123,39 @@ def cmd_eigen_check(args) -> int:
             if i != j:
                 zero = mat_scale(pi, params.zero())
                 ok_alg &= mat_equal(mat_mul(pi, pj), zero)
-    check("projection algebra on the 4x4 restriction matrix", ok_alg)
-
-    report = {
-        "schema": 1,
-        "a0": params.a0,
-        "a1": params.a1,
-        "nu": args.nu,
-        "eigenvalues": [e.to_string() for e in eigs],
-        "eigenvalues_decimal": [_dec(float(e)) for e in eigs],
-        "restriction_matrix": [[e.to_string() for e in row] for row in m4],
-        "checks": lines,
-        "failures": failures,
-    }
+    checks = [
+        ("P u1 = u1", apply_transfer_iterate(u1, 1).equal_ae(u1)),
+        ("P u2 = (-a1/beta^2) u2",
+         apply_transfer_iterate(u2, 1).equal_ae(u2.scaled(lam2))),
+        ("P u3 = (1/beta) u3",
+         apply_transfer_iterate(u3, 1).equal_ae(u3.scaled(binv))),
+        ("integral u1 = 1", (u1.integrate() - 1).is_zero()),
+        ("integral u2 = 0", u2.integrate().is_zero()),
+        ("integral u3 = 0", u3.integrate().is_zero()),
+        ("projection algebra on the 4x4 restriction matrix", ok_alg),
+    ]
+    lines = ["%s %s" % ("PASS" if ok else "FAIL", label) for label, ok in checks]
+    failures = sum(not ok for _, ok in checks)
     if args.json:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = _json({
+            "schema": 1,
+            "a0": params.a0,
+            "a1": params.a1,
+            "nu": args.nu,
+            "eigenvalues": [e.to_string() for e in eigs],
+            "eigenvalues_decimal": [_dec(float(e)) for e in eigs],
+            "restriction_matrix": [[e.to_string() for e in row] for row in m4],
+            "checks": lines,
+            "failures": failures,
+        })
     else:
         text = "".join(l + "\n" for l in lines)
         text += "eigenvalues: %s\n" % ", ".join(
             "%s (%s)" % (e.to_string(), _dec(float(e))) for e in eigs)
-    _write_output(args, text, _manifest(args, "eigen-check", started,
-                                        {"failures": failures}))
-    return EXIT_PASS if failures == 0 else EXIT_VERIFICATION
+    return text, {"failures": failures}, EXIT_PASS if failures == 0 else EXIT_VERIFICATION
 
 
-def cmd_iterate(args) -> int:
-    started = time.perf_counter()
+def cmd_iterate(args):
     params = _params(args)
     F = _load_function(args)
     if not isinstance(F, PiecewisePoly):
@@ -165,131 +166,88 @@ def cmd_iterate(args) -> int:
                              "use the asymptotics command instead" % args.F)
     g = apply_transfer_iterate(F, args.k)
     if args.out == "json":
-        text = json.dumps(g.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        text = _json(g.to_json_dict())
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["x", "value"])
         xs = np.linspace(0.0, 1.0, args.grid)
-        for x, v in zip(xs, g.eval_float(xs)):
-            w.writerow([_dec(x), _dec(v)])
-        text = buf.getvalue()
-    _write_output(args, text, _manifest(args, "iterate", started,
-                                        {"pieces": len(g.pieces)}))
-    return EXIT_PASS
+        text = _csv([("x", "value")] + [(_dec(x), _dec(v))
+                                        for x, v in zip(xs, g.eval_float(xs))])
+    return text, {"pieces": len(g.pieces)}, EXIT_PASS
 
 
-def cmd_asymptotics(args) -> int:
-    started = time.perf_counter()
+def cmd_asymptotics(args):
     params = _params(args)
     theorem = epsilon_of(params, args.N)
     b = params.beta_float()
+    F = _load_function(args)
     if args.engine == "exact":
-        F = _load_function(args)
         if not isinstance(F, PiecewisePoly):
             F = F.piecewise(params)
         series = two_term_residual_exact(F, args.k_max)
     else:
-        F = _load_function(args)
         series = two_term_residual_numeric(F, params, range(1, args.k_max + 1),
                                            grid=args.grid)
+    header = ("k", "residual_lower", "residual_upper", "beta_power_bound", "ratio")
     rows = []
     for k, lo, up in zip(series.ks, series.residual_lower, series.residual_upper):
         bound = b ** (-(1.0 + theorem.epsilon) * k)
-        rows.append((k, lo, up, bound, up / bound))
+        rows.append((k, _dec(lo), _dec(up), _dec(bound), _dec(up / bound)))
     extra = {"fitted_slope": series.fitted_slope,
              "epsilon": theorem.epsilon,
              "predicted_slope_bound": -(1.0 + theorem.epsilon) * math.log(b)}
     if args.out == "json":
-        text = json.dumps({
-            "schema": 1, "a0": params.a0, "a1": params.a1,
-            "rows": [{"k": k, "residual_lower": _dec(lo), "residual_upper": _dec(up),
-                      "beta_power_bound": _dec(bd), "ratio": _dec(r)}
-                     for k, lo, up, bd, r in rows],
-            **{k: _dec(v) for k, v in extra.items()},
-        }, indent=2, sort_keys=True) + "\n"
+        text = _json({"schema": 1, "a0": params.a0, "a1": params.a1,
+                      "rows": [dict(zip(header, row)) for row in rows],
+                      **{k: _dec(v) for k, v in extra.items()}})
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["k", "residual_lower", "residual_upper",
-                    "beta_power_bound", "ratio"])
-        for k, lo, up, bd, r in rows:
-            w.writerow([k, _dec(lo), _dec(up), _dec(bd), _dec(r)])
-        text = buf.getvalue()
-    _write_output(args, text, _manifest(args, "asymptotics", started, extra))
-    return EXIT_PASS
+        text = _csv([header] + rows)
+    return text, extra, EXIT_PASS
 
 
-def cmd_partition_dump(args) -> int:
-    started = time.perf_counter()
+def cmd_partition_dump(args):
     params = _params(args)
     partition = refine_to_level(params, args.M)
     histogram: dict[int, int] = {}
     for g in partition.gaps:
         histogram[g.depth] = histogram.get(g.depth, 0) + 1
     if args.out == "json":
-        text = json.dumps({
+        text = _json({
             "schema": 1, "a0": params.a0, "a1": params.a1, "M": args.M,
             "points": [{"exact": p.to_string(), "decimal": _dec(float(p))}
                        for p in partition.points],
             "gap_depth_histogram": {str(d): histogram[d] for d in sorted(histogram)},
-        }, indent=2, sort_keys=True) + "\n"
+        })
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["left_exact", "left_decimal", "depth", "gap_length_decimal"])
-        for g in partition.gaps:
-            w.writerow([g.value.to_string(), _dec(float(g.value)),
-                        g.depth, _dec(float(g.gap_length()))])
-        w.writerow([])
-        w.writerow(["depth", "count"])
-        for d in sorted(histogram):
-            w.writerow([d, histogram[d]])
-        text = buf.getvalue()
-    _write_output(args, text, _manifest(args, "partition-dump", started,
-                                        {"gaps": len(partition.gaps)}))
-    return EXIT_PASS
+        text = _csv(
+            [("left_exact", "left_decimal", "depth", "gap_length_decimal")]
+            + [(g.value.to_string(), _dec(float(g.value)), g.depth,
+                _dec(float(g.gap_length()))) for g in partition.gaps]
+            + [(), ("depth", "count")]
+            + [(d, histogram[d]) for d in sorted(histogram)])
+    return text, {"gaps": len(partition.gaps)}, EXIT_PASS
 
 
-def cmd_bernoulli_table(args) -> int:
-    started = time.perf_counter()
+def cmd_bernoulli_table(args):
+    ns = range(args.n_max + 1)
     if args.out == "json":
-        text = json.dumps({
-            "schema": 1,
-            "rows": [{"n": n, "coeffs": [str(c) for c in bernoulli_coeffs(n)]}
-                     for n in range(args.n_max + 1)],
-        }, indent=2, sort_keys=True) + "\n"
+        text = _json({"schema": 1,
+                      "rows": [{"n": n, "coeffs": [str(c) for c in bernoulli_coeffs(n)]}
+                               for n in ns]})
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "coefficients_ascending"])
-        for n in range(args.n_max + 1):
-            w.writerow([n, " ".join(str(c) for c in bernoulli_coeffs(n))])
-        text = buf.getvalue()
-    _write_output(args, text, _manifest(args, "bernoulli-table", started))
-    return EXIT_PASS
+        text = _csv([("n", "coefficients_ascending")]
+                    + [(n, " ".join(str(c) for c in bernoulli_coeffs(n))) for n in ns])
+    return text, {}, EXIT_PASS
 
 
-def cmd_integer_base(args) -> int:
-    started = time.perf_counter()
+def cmd_integer_base(args):
     F = builtin(args.F)
     ks = list(range(args.k_min, args.k_max + 1))
     with mpmath.workdps(60):
-        residuals = [integer_base_expansion_residual(F, args.q, k, args.N,
-                                                     args.grid, use_mp=True)
+        residuals = [integer_base_expansion_residual(F, args.q, k, args.N, args.grid)
                      for k in ks]
     slope = fit_slope(ks, residuals)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["k", "residual"])
-    for k, r in zip(ks, residuals):
-        w.writerow([k, _dec(r)])
-    text = buf.getvalue()
-    _write_output(args, text, _manifest(args, "integer-base", started, {
-        "fitted_slope": slope,
-        "expected_slope": -args.N * math.log(args.q),
-    }))
-    return EXIT_PASS
+    text = _csv([("k", "residual")] + [(k, _dec(r)) for k, r in zip(ks, residuals)])
+    return text, {"fitted_slope": slope,
+                  "expected_slope": -args.N * math.log(args.q)}, EXIT_PASS
 
 
 # -- parser ----------------------------------------------------------------------
@@ -376,12 +334,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        text, extra, code = args.func(args)
+        _write_output(args, text, _manifest(args, started, extra))
+        return code
     except BudgetExceeded as exc:
         print("budget exhausted: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, KeyError, OSError, SystemExit) as exc:
+    except (ValueError, KeyError, OSError, OverflowError, SystemExit) as exc:
         if isinstance(exc, SystemExit):
             print(exc, file=sys.stderr)
         else:

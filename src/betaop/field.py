@@ -276,6 +276,9 @@ class QuadNum:
         return (r + (root if self.b > 0 else -root - 1)) // (2 * self.d)
 
     def __float__(self) -> float:
+        """The value as a float. Like float() of a large int, raises
+        OverflowError when it lies beyond the float range; to_decimal
+        works at any size."""
         # Evaluate (r + b*sqrt(D))/(2d), r = 2a + a0*b, with an interval around
         # sqrt(D) that is narrowed until the result is correct to ~2^-60
         # relative error; the naive a/d + (b/d)*beta cancels catastrophically

@@ -101,9 +101,10 @@ def make_psi_basis(params: BetaParams, nu: int, normalized: bool = True) -> PsiB
 def expand_in_basis(g: PiecewisePoly, basis: PsiBasis) -> list[QuadNum]:
     """Exact coordinates of g in span{psi_1,...,psi_2nu}.
 
-    Exploits the triangular structure: on (a1/beta, 1) only the odd basis
-    functions are supported and they are graded by degree; the even part is
-    then graded by degree on (0, a1/beta). Raises if g is not in the span."""
+    One triangular solve graded by degree, run twice: on (a1/beta, 1) only
+    the odd basis functions are supported, which fixes the odd coordinates;
+    once those are subtracted, the even ones follow on (0, a1/beta). Raises
+    if g is not in the span."""
     params = basis.params
     nu = basis.nu
     cut = params.beta().inverse() * params.a1
@@ -112,38 +113,20 @@ def expand_in_basis(g: PiecewisePoly, basis: PsiBasis) -> list[QuadNum]:
     def poly_coeff(poly: Polynomial, deg: int) -> QuadNum:
         return poly.coeffs[deg] if deg < len(poly.coeffs) else zero
 
-    # odd coordinates from the rightmost region
-    right_piece = g._piece_on(cut, params.one())
-    odd = [zero] * nu
-    residual = right_piece
-    for s in range(nu - 1, -1, -1):
-        lead = poly_coeff(residual, s)
-        basis_poly = basis.functions[2 * s].pieces[-1]
-        coeff = lead / poly_coeff(basis_poly, s)
-        odd[s] = coeff
-        residual = residual - basis_poly.scaled(coeff)
+    coords = [zero] * (2 * nu)
     h = g
-    for s in range(nu):
-        if not odd[s].is_zero():
-            h = h - basis.functions[2 * s].scaled(odd[s])
-    # even coordinates from the region just right of 0
-    left_piece = h._piece_on(zero, cut)
-    even = [zero] * nu
-    residual = left_piece
-    for s in range(nu - 1, -1, -1):
-        lead = poly_coeff(residual, s)
-        basis_poly = basis.functions[2 * s + 1]._piece_on(zero, cut)
-        coeff = lead / poly_coeff(basis_poly, s)
-        even[s] = coeff
-        residual = residual - basis_poly.scaled(coeff)
-    for s in range(nu):
-        if not even[s].is_zero():
-            h = h - basis.functions[2 * s + 1].scaled(even[s])
+    for parity, (a, b) in enumerate(((cut, params.one()), (zero, cut))):
+        residual = h._piece_on(a, b)
+        for s in range(nu - 1, -1, -1):
+            basis_poly = basis.functions[2 * s + parity]._piece_on(a, b)
+            coeff = poly_coeff(residual, s) / poly_coeff(basis_poly, s)
+            coords[2 * s + parity] = coeff
+            residual = residual - basis_poly.scaled(coeff)
+        for s in range(nu):
+            if not coords[2 * s + parity].is_zero():
+                h = h - basis.functions[2 * s + parity].scaled(coords[2 * s + parity])
     if not h.is_zero():
         raise ValueError("function is not in the span of the psi basis")
-    coords = []
-    for s in range(nu):
-        coords.extend([odd[s], even[s]])
     return coords
 
 
@@ -262,44 +245,3 @@ def make_u_tilde(params: BetaParams) -> tuple[PiecewisePoly, PiecewisePoly, Piec
     """The eigenfunctions u1 (invariant density), u2, u3 as combinations of
     psi_1..psi_4."""
     return riesz_projections(params).u_tilde
-
-
-@dataclass
-class DecayReport:
-    """Residual history of P^r psi_m against its leading-term prediction."""
-
-    m: int
-    r: int
-    iterate: PiecewisePoly
-    residual: PiecewisePoly
-    sup_brackets: list[tuple[float, float]]  # residual bracket after each step
-    per_step_ratios: list[float]
-
-
-def psi_iterate_decay(params: BetaParams, m: int, r: int,
-                      samples_per_piece: int = 32) -> DecayReport:
-    """Exact P^r psi_m and certified residual brackets against the predicted
-    leading behavior: u1 for m=1, beta^{-r} u3 for m=3, zero for m=4."""
-    if m not in (1, 3, 4):
-        raise ValueError("m must be one of 1, 3, 4")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    basis = make_psi_basis(params, 2, normalized=True)
-    u1, u2, u3 = make_u_tilde(params)
-    binv = params.beta().inverse()
-    f = basis.functions[m - 1]
-    brackets = []
-    cur = f
-    for step in range(1, r + 1):
-        cur = apply_transfer(cur)
-        if m == 1:
-            resid = cur - u1
-        elif m == 3:
-            resid = cur - u3.scaled(binv ** step)
-        else:
-            resid = cur
-        brackets.append(resid.sup_norm_bracket(samples_per_piece))
-    ratios = [b[1] / a[1] if a[1] > 0 else float("nan")
-              for a, b in zip(brackets, brackets[1:])]
-    return DecayReport(m=m, r=r, iterate=cur, residual=resid,
-                       sup_brackets=brackets, per_step_ratios=ratios)

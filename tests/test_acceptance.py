@@ -158,7 +158,7 @@ def test_criterion_6_integer_base():
     F = builtin("sin")
     ks = list(range(6, 15))
     with mp.workdps(60):
-        res = [integer_base_expansion_residual(F, 2, k, 3, 41, use_mp=True)
+        res = [integer_base_expansion_residual(F, 2, k, 3, 41)
                for k in ks]
     slope = fit_slope(ks, res)
     ok &= abs(slope - (-3 * math.log(2))) <= 0.1

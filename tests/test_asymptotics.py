@@ -167,3 +167,9 @@ def test_iterates_and_residuals_are_bit_identical(a0, a1, digest):
     # digests of the iterates and residual floats as computed before the
     # integer-pair Horner; any changed bit of a result changes them
     assert iteration_digest(BetaParams(a0, a1)) == digest
+
+
+def test_fit_slope_needs_two_points():
+    for ks in ([], [7]):
+        with pytest.raises(ValueError, match="at least two points"):
+            fit_slope(ks, [1.0] * len(ks))

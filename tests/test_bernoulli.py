@@ -161,7 +161,7 @@ def test_sin_closed_form_matches_direct_sum():
         n = 2 ** k
         for x in (0.1, 0.5, 0.9):
             direct = math.fsum(math.sin((x + j) / n) for j in range(n)) / n
-            assert F.qk_integer_transfer(x, 2, k, False) == \
+            assert F.qk_integer_transfer(x, 2, k) == \
                 pytest.approx(direct, abs=1e-14)
 
 
@@ -182,11 +182,21 @@ def test_residual_zero_for_terminating_expansion():
             anti = lambda t: t ** 3 / 3 - t * t / 2 + t / 6
             return anti(b) - anti(a)
 
+        def mp_eval(self, x):
+            return x * x - x + mp.mpf(1) / 6
+
+        def mp_deriv_eval(self, order, x):
+            return [self.mp_eval(x), 2 * x - 1, mp.mpf(2), mp.mpf(0)][min(order, 3)]
+
+        def mp_integral(self, a, b):
+            anti = lambda t: t ** 3 / 3 - t * t / 2 + t / 6
+            return anti(b) - anti(a)
+
         qk_integer_transfer = None
 
     F = B2()
     for k in (2, 4, 6):
-        r = integer_base_expansion_residual(F, 2, k, 2, 51, include_last=True)
+        r = integer_base_expansion_residual(F, 2, k, 3, 51)
         assert r < 1e-12
 
 
@@ -194,7 +204,7 @@ def test_sin_residual_slope():
     F = builtin("sin")
     ks = list(range(6, 15))
     with mp.workdps(60):
-        res = [integer_base_expansion_residual(F, 2, k, 3, 41, use_mp=True)
+        res = [integer_base_expansion_residual(F, 2, k, 3, 41)
                for k in ks]
     slope = fit_slope(ks, res)
     assert slope == pytest.approx(-3 * math.log(2), abs=0.1)

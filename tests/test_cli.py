@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, output formats, run manifests, determinism."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -11,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from betaop import (BetaParams, PiecewisePoly, make_u_tilde,
-                    quadnum_from_string)
+from betaop import (BetaParams, PiecewisePoly, Polynomial, builtin,
+                    make_u_tilde, quadnum_from_string)
 from betaop.cli import main
 
 GOLDEN = BetaParams(1, 1)
@@ -179,3 +180,106 @@ def test_eigen_check_other_nu_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "only at nu = 2" in captured.err
     assert run(["eigen-check", "--a0", "2", "--a1", "1", "--nu", "2"]) == 0
+
+
+def _write_json(tmp_path, f: PiecewisePoly) -> str:
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(f.to_json_dict()))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["iterate", "--out", "json"],
+    ["asymptotics", "--k-max", "8"],
+])
+def test_piecewise_json_field_mismatch_is_a_usage_error(tmp_path, capsys, argv):
+    path = _write_json(tmp_path, builtin("linear").piecewise(GOLDEN))
+    cmd, *rest = argv
+    assert run([cmd, "--a0", "2", "--a1", "1", "--piecewise-json", path, *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a0=1 a1=1" in captured.err and "--a0 2 --a1 1" in captured.err
+    assert run([cmd, "--a0", "1", "--a1", "1", "--piecewise-json", path, *rest]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["asymptotics", "--a0", "1", "--a1", "1", "--k-max", "0"],
+    ["asymptotics", "--a0", "1", "--a1", "1", "--k-max", "0", "--engine", "numeric"],
+    ["integer-base", "--k-min", "10", "--k-max", "5"],
+])
+def test_empty_k_range_is_a_usage_error(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_float_overflow_is_a_usage_error(tmp_path, capsys):
+    # a constant beyond the float range: fine as exact JSON, not on a float grid
+    big = Polynomial([GOLDEN.beta() ** 3000], GOLDEN)
+    path = _write_json(tmp_path, PiecewisePoly.from_polynomial(big))
+    assert run(["iterate", "--a0", "1", "--a1", "1", "--piecewise-json", path,
+                "--out", "json"]) == 0
+    capsys.readouterr()
+    for argv in (["iterate"], ["asymptotics", "--k-max", "3"]):
+        assert run([*argv, "--a0", "1", "--a1", "1", "--piecewise-json", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+MANIFEST_KEYS = {"schema", "command", "parameters", "versions", "elapsed_seconds"}
+
+
+@pytest.mark.parametrize("argv,extras", [
+    (["eigen-check", "--a0", "1", "--a1", "1"], {"failures"}),
+    (["iterate", "--a0", "1", "--a1", "1", "--F", "linear", "--k", "2", "--grid", "11"],
+     {"pieces"}),
+    (["asymptotics", "--a0", "1", "--a1", "1", "--F", "linear", "--k-max", "8"],
+     {"fitted_slope", "epsilon", "predicted_slope_bound"}),
+    (["partition-dump", "--a0", "1", "--a1", "1", "--M", "2"], {"gaps"}),
+    (["bernoulli-table", "--n-max", "3"], set()),
+    (["integer-base", "--k-min", "6", "--k-max", "8"],
+     {"fitted_slope", "expected_slope"}),
+])
+def test_every_command_writes_data_and_manifest(tmp_path, capsys, argv, extras):
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    target = tmp_path / "data.out"
+    assert run([*argv, "--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == expected.encode()
+    manifest = json.loads((tmp_path / "data.out.manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS | extras
+    assert manifest["command"] == argv[0]
+    assert manifest["parameters"]["command"] == argv[0]
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "out.csv"
+    assert run(["bernoulli-table", "--output", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# SHA-256 of stdout, recorded before the commands shared one output path
+EXACT_OUTPUT_DIGESTS = [
+    (["eigen-check", "--a0", "2", "--a1", "1"],
+     "779ed9959c60d2b6341657481a60114a24f69224e4cd66a969effea486103a83"),
+    (["eigen-check", "--a0", "2", "--a1", "1", "--json"],
+     "57f6820e4375412bc60004748be89d5af3455ce766037d20650f9d22d84cb534"),
+    (["iterate", "--a0", "1", "--a1", "1", "--F", "cubic", "--k", "6", "--out", "json"],
+     "00059fdb6e6a15b3d454b90ca64981494387123410abdccd0906c9a91743bddf"),
+    (["partition-dump", "--a0", "2", "--a1", "1", "--M", "4"],
+     "28c89141b69b516a5291b154b083a6405d9918eaac892e16c09e036330e4af3c"),
+    (["partition-dump", "--a0", "2", "--a1", "1", "--M", "4", "--out", "json"],
+     "a563295395cae1b06200a65dc4b2965b006670444a5b85348947a2ce94bfe22b"),
+    (["bernoulli-table", "--n-max", "10"],
+     "72fd069a37263ed6715b70b53f488a359dbb05aa88717d54944071243e211996"),
+    (["bernoulli-table", "--n-max", "10", "--out", "json"],
+     "6cff5e2f7d2953641747f36b91c872c9c2d9215da1ac294031b1826d9ab6f6ae"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", EXACT_OUTPUT_DIGESTS)
+def test_exact_output_digests(capsys, argv, digest):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -230,6 +230,15 @@ def test_floor_of_large_power():
     assert big.inverse().floor() == 0
 
 
+def test_float_beyond_range_raises_overflow():
+    # float() keeps Python's convention for values beyond the float range
+    big = BetaParams(1, 1).beta() ** 3000
+    with pytest.raises(OverflowError):
+        float(big)
+    with pytest.raises(OverflowError):
+        float(-big)
+
+
 # -- field laws over random triples, with components of up to 400 bits --------
 
 BIG = 2 ** 400

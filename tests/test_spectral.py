@@ -9,8 +9,8 @@ import pytest
 
 from betaop import (BetaParams, QuadNum, apply_transfer, block_eigenvalues,
                     block_matrix, builtin, combine, expand_in_basis, fit_slope,
-                    make_psi_basis, make_u_tilde, psi_iterate_decay,
-                    restriction_matrix, riesz_projections)
+                    make_psi_basis, make_u_tilde, restriction_matrix,
+                    riesz_projections, two_term_residual_exact)
 from betaop.spectral import (mat_equal, mat_eye, mat_mul, mat_scale, mat_zero,
                              sylvester_projections)
 
@@ -262,24 +262,16 @@ def test_projection_algebra():
                     assert mat_equal(mat_mul(pi, pj), z)
 
 
-def test_psi_iterate_decay_m1_exact():
-    params = BetaParams(2, 2)
-    u1, u2, u3 = make_u_tilde(params)
-    rep = psi_iterate_decay(params, 1, 6)
-    binv = params.beta().inverse()
-    lam = -(binv ** 2) * params.a1
-    # P^r psi1 - u1 = lam^r u2 exactly
-    assert rep.residual.equal_ae(u2.scaled(lam ** 6))
-
-
-def test_psi_iterate_decay_rates():
+def test_psi_residual_decay_rates():
     params = GOLDEN
     b = params.beta_float()
-    rep3 = psi_iterate_decay(params, 3, 14)
-    ratios = rep3.per_step_ratios[6:]
-    # residual after subtracting beta^-r u3 decays per-step like a1/beta^2
+    psi = make_psi_basis(params, 2).functions
+    # psi3 has integral 0 and jump 4, so the two-term residual is
+    # P^r psi3 - beta^-r u3; it decays per step like a1/beta^2
+    ups = two_term_residual_exact(psi[2], 14).residual_upper
+    ratios = [y / x for x, y in zip(ups, ups[1:])][6:]
     assert np.mean(ratios) == pytest.approx(1 / b ** 2, abs=0.05)
-    rep4 = psi_iterate_decay(params, 4, 14)
-    ks = list(range(1, 15))
-    slope = fit_slope(ks, [up for _, up in rep4.sup_brackets])
+    # psi4 has integral 0, so the one-term residual is P^r psi4 itself
+    series = two_term_residual_exact(psi[3], 14, terms=1)
+    slope = fit_slope(series.ks, series.residual_upper)
     assert slope == pytest.approx(-math.log(b), abs=0.1)
