@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .bernoulli import eb_expand
 from .field import BetaParams
 from .piecewise import PiecewisePoly
@@ -36,6 +34,7 @@ class ResidualSeries:
 def fit_slope(ks, values) -> float:
     """OLS slope of ln(values) vs k, skipping k <= FIT_SKIP and entries that
     fell below the floating-noise floor relative to the initial residual."""
+    import numpy as np
     ks = np.asarray(ks, dtype=float)
     values = np.asarray(values, dtype=float)
     if values.size < 2:
@@ -113,6 +112,7 @@ def two_term_residual_numeric(F, params: BetaParams, ks,
                               grid: int = 101) -> ResidualSeries:
     """Grid sup of the two-term residual using the pointwise preimage engine;
     the eigenfunctions are evaluated exactly at the grid points."""
+    import numpy as np
     if grid < 101:
         raise ValueError("grid must be >= 101")
     u1, _, u3 = make_u_tilde(params)
@@ -140,6 +140,7 @@ def hor13_reconstruction(F, params: BetaParams, M: int, N: int,
 
     Returns (sup_error, C) where sup_error is the grid sup of
     |F - expansion| and C = sup_error / (beta^-MN * sup|F^(N)|)."""
+    import numpy as np
     if M > 8:
         raise ValueError("M must be <= 8")
     gaps = refine_to_level(params, M).gaps

@@ -10,8 +10,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
-
 from .field import BetaParams, QuadNum
 from .piecewise import PiecewisePoly, Polynomial
 
@@ -50,12 +48,14 @@ def periodized_eval(n: int, x) -> float:
     """B_n(x - floor(x)): the Z-periodic extension evaluated at x.
 
     Works on floats and on mpmath numbers."""
-    frac = x - math.floor(x) if isinstance(x, float) else x - mp.floor(x)
-    coeffs = bernoulli_coeffs(n)
+    if isinstance(x, float):
+        frac, coeff = x - math.floor(x), lambda c: c.numerator / c.denominator
+    else:
+        import mpmath as mp
+        frac, coeff = x - mp.floor(x), lambda c: mp.mpf(c.numerator) / c.denominator
     acc = 0 * frac
-    for c in reversed(coeffs):
-        num, den = c.numerator, c.denominator
-        acc = acc * frac + (num / den if isinstance(frac, float) else mp.mpf(num) / den)
+    for c in reversed(bernoulli_coeffs(n)):
+        acc = acc * frac + coeff(c)
     return acc
 
 
@@ -127,6 +127,7 @@ def integer_transfer_pointwise(F, q: int, k: int, x):
     preimage tree of the integer-base operator, in mpmath working precision."""
     if getattr(F, "qk_integer_transfer", None) is not None:
         return F.qk_integer_transfer(x, q, k)
+    import mpmath as mp
     n = q ** k
     h = mp.mpf(1) / n
     return mp.fsum(F.mp_eval((x + j) * h) for j in range(n)) * h
@@ -142,6 +143,7 @@ def integer_base_expansion_residual(F, q: int, k: int, N: int, grid: int) -> flo
     The transfer sum and the expansion are evaluated in mpmath working
     precision (raise it with mpmath.workdps), which resolves residuals below
     double round-off."""
+    import mpmath as mp
     if q < 2 or k < 1:
         raise ValueError("need q >= 2 and k >= 1")
     xs = [(2 * i + 1) / (2 * grid) for i in range(grid)]

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-import mpmath as mp
-
 from .field import BetaParams, QuadNum
 from .piecewise import PiecewisePoly, Polynomial
 
@@ -42,6 +40,7 @@ class SmoothFunction:
 
     def mp_eval(self, x):
         if self.mp_fn is None:
+            import mpmath as mp
             return mp.mpf(self.fn(float(x)))
         return self.mp_fn(x)
 
@@ -50,6 +49,7 @@ class SmoothFunction:
             return self.mp_eval(x)
         if self.mp_nth_derivative is not None:
             return self.mp_nth_derivative(order)(x)
+        import mpmath as mp
         return mp.mpf(self.deriv_eval(order, float(x)))
 
     def integral(self, a: float, b: float) -> float:
@@ -60,6 +60,7 @@ class SmoothFunction:
     def mp_integral(self, a, b):
         if self.mp_antiderivative is not None:
             return self.mp_antiderivative(b) - self.mp_antiderivative(a)
+        import mpmath as mp
         if self.antiderivative is not None:
             return mp.mpf(self.antiderivative(float(b)) - self.antiderivative(float(a)))
         return mp.quad(self.mp_eval, [a, b])
@@ -108,11 +109,13 @@ def _sin_cycle(order: int) -> Callable:
 
 
 def _mp_sin_cycle(order: int) -> Callable:
+    import mpmath as mp
     return [mp.sin, mp.cos, lambda x: -mp.sin(x), lambda x: -mp.cos(x)][order % 4]
 
 
 def _sin_qk(x, q: int, k: int):
     # closed form: sum_{j<n} sin((x+j)h) = sin(xh + (1-h)/2) sin(1/2)/sin(h/2), h = 1/n
+    import mpmath as mp
     h = mp.mpf(q) ** (-k)
     return h * mp.sin(x * h + (1 - h) / 2) * mp.sin(mp.mpf(1) / 2) / mp.sin(h / 2)
 
@@ -123,9 +126,9 @@ def _make_sin() -> SmoothFunction:
         fn=math.sin,
         nth_derivative=_sin_cycle,
         antiderivative=lambda x: -math.cos(x),
-        mp_fn=mp.sin,
+        mp_fn=lambda x: _mp_sin_cycle(0)(x),
         mp_nth_derivative=_mp_sin_cycle,
-        mp_antiderivative=lambda x: -mp.cos(x),
+        mp_antiderivative=lambda x: -_mp_sin_cycle(1)(x),
         qk_integer_transfer=_sin_qk,
     )
 
@@ -148,14 +151,19 @@ def _make_sin_normalized() -> SmoothFunction:
 def _make_exp_normalized() -> SmoothFunction:
     c = 1.0 / (math.e - 1.0)
     f = lambda x: c * math.exp(x)
+
+    def mp_f(x):
+        import mpmath as mp
+        return mp.e ** x / (mp.e - 1)
+
     return SmoothFunction(
         name="exp-normalized",
         fn=f,
         nth_derivative=lambda order: f,
         antiderivative=f,
-        mp_fn=lambda x: mp.e ** x / (mp.e - 1),
-        mp_nth_derivative=lambda order: (lambda x: mp.e ** x / (mp.e - 1)),
-        mp_antiderivative=lambda x: mp.e ** x / (mp.e - 1),
+        mp_fn=mp_f,
+        mp_nth_derivative=lambda order: mp_f,
+        mp_antiderivative=mp_f,
     )
 
 

@@ -16,9 +16,6 @@ import math
 import sys
 import time
 
-import mpmath
-import numpy as np
-
 from . import __version__
 from .asymptotics import (epsilon_of, fit_slope, two_term_residual_exact,
                           two_term_residual_numeric)
@@ -51,19 +48,21 @@ def _json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_output(args, text: str, manifest: dict) -> None:
+def _write_output(args, text: str, elapsed: float, extra: dict) -> None:
     """Write the data file plus a sibling <path>.manifest.json; without
-    --output the data goes to stdout and no manifest file is created."""
+    --output the data goes to stdout and no manifest is built."""
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
         with open(args.output + ".manifest.json", "w") as fh:
-            fh.write(_json(manifest))
+            fh.write(_json(_manifest(args, elapsed, extra)))
     else:
         sys.stdout.write(text)
 
 
-def _manifest(args, started: float, extra: dict) -> dict:
+def _manifest(args, elapsed: float, extra: dict) -> dict:
+    import mpmath
+    import numpy as np
     doc = {
         "schema": 1,
         "command": args.command,
@@ -75,7 +74,7 @@ def _manifest(args, started: float, extra: dict) -> dict:
             "numpy": np.__version__,
             "mpmath": mpmath.__version__,
         },
-        "elapsed_seconds": round(time.perf_counter() - started, 6),
+        "elapsed_seconds": elapsed,
     }
     doc.update(extra)
     return doc
@@ -168,6 +167,7 @@ def cmd_iterate(args):
     if args.out == "json":
         text = _json(g.to_json_dict())
     else:
+        import numpy as np
         xs = np.linspace(0.0, 1.0, args.grid)
         text = _csv([("x", "value")] + [(_dec(x), _dec(v))
                                         for x, v in zip(xs, g.eval_float(xs))])
@@ -183,6 +183,8 @@ def cmd_asymptotics(args):
         if not isinstance(F, PiecewisePoly):
             F = F.piecewise(params)
         series = two_term_residual_exact(F, args.k_max)
+    elif isinstance(F, PiecewisePoly):
+        raise ValueError("--piecewise-json needs --engine exact")
     else:
         series = two_term_residual_numeric(F, params, range(1, args.k_max + 1),
                                            grid=args.grid)
@@ -241,6 +243,7 @@ def cmd_bernoulli_table(args):
 def cmd_integer_base(args):
     F = builtin(args.F)
     ks = list(range(args.k_min, args.k_max + 1))
+    import mpmath
     with mpmath.workdps(60):
         residuals = [integer_base_expansion_residual(F, args.q, k, args.N, args.grid)
                      for k in ks]
@@ -337,7 +340,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         text, extra, code = args.func(args)
-        _write_output(args, text, _manifest(args, started, extra))
+        _write_output(args, text, round(time.perf_counter() - started, 6), extra)
         return code
     except BudgetExceeded as exc:
         print("budget exhausted: %s" % exc, file=sys.stderr)

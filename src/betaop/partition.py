@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from .bernoulli import bernoulli_polynomial, bernoulli_piecewise
 from .field import BetaParams, QuadNum
 from .piecewise import PiecewisePoly
-from .transfer import apply_transfer
+from .transfer import BudgetExceeded, apply_transfer
+
+MAX_GAPS = 10 ** 6  # refine_to_level refuses partitions with more gaps
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,11 @@ def refine_to_level(params: BetaParams, M: int) -> LevelPartition:
     first layer). The result has gap depths in {M, M+1} exactly."""
     if M < 1:
         raise ValueError("M must be >= 1")
+    n, prev = 1, 1  # gaps under a gap r levels above M: n_r = a0*n_{r-1} + a1*n_{r-2}
+    for _ in range(M):
+        n, prev = params.a0 * n + params.a1 * prev, n
+        if n > MAX_GAPS:
+            raise BudgetExceeded("level %d has over %d gaps" % (M, MAX_GAPS))
     binv = params.power(-1)
     gaps: list[PartitionPoint] = []
     # offsets[depth][(k, j)] = binv^depth * t(k, j), precomputed once

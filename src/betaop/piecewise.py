@@ -13,8 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .field import BetaParams, QuadNum, affine_horner, quadnum_from_string
 
 DEGREE_CAP = 64
@@ -105,10 +103,9 @@ class Polynomial:
             return self
         return Polynomial(affine_horner(self.coeffs, scale, shift), self.params)
 
-    def float_coeffs(self) -> np.ndarray:
+    def float_coeffs(self) -> list[float]:
         # descending order for np.polyval
-        return np.array([float(c) for c in reversed(self.coeffs)], dtype=float) \
-            if self.coeffs else np.zeros(1)
+        return [float(c) for c in reversed(self.coeffs)] or [0.0]
 
     def __repr__(self):
         return "Polynomial([%s])" % ", ".join(c.to_string() for c in self.coeffs)
@@ -127,7 +124,8 @@ def _merged(bps: Sequence[QuadNum], pcs: Sequence[Polynomial]):
 
 
 @lru_cache(maxsize=8)
-def _chebyshev_nodes(n: int) -> np.ndarray:
+def _chebyshev_nodes(n: int):
+    import numpy as np
     theta = np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
     theta.setflags(write=False)
     return theta
@@ -342,8 +340,9 @@ class PiecewisePoly:
 
     # -- numeric views ---------------------------------------------------------
 
-    def eval_float(self, xs: np.ndarray) -> np.ndarray:
+    def eval_float(self, xs):
         """Evaluate at float points (right-limit convention, left at 1)."""
+        import numpy as np
         bps = np.array([float(b) for b in self.breakpoints])
         idx = np.clip(np.searchsorted(bps, xs, side="right") - 1, 0, len(self.pieces) - 1)
         out = np.empty_like(np.asarray(xs, dtype=float))
@@ -360,6 +359,7 @@ class PiecewisePoly:
         endpoint limits. Upper: lower + mean-value slack from a coefficient
         bound on |f'| times the largest sample gap.
         """
+        import numpy as np
         if samples_per_piece < 2:
             raise ValueError("samples_per_piece must be >= 2")
         lower = 0.0

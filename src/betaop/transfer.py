@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .field import BetaParams, QuadNum
 from .piecewise import PiecewisePoly, Polynomial
 
@@ -88,6 +86,7 @@ def pointwise_transfer_power(F, params: BetaParams, k: int, xs,
     an array of sample points; evaluation across sample points is
     embarrassingly parallel (vectorized).
     """
+    import numpy as np
     if k < 0:
         raise ValueError("k must be >= 0")
     scalar = np.isscalar(xs) or isinstance(xs, QuadNum)

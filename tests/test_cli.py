@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -149,17 +150,60 @@ def test_exact_budget_exit_code(monkeypatch):
                 "--k-max", "10"]) == 3
 
 
-def test_cli_import_loads_no_scipy():
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import betaop.cli, sys; print(betaop.cli.__file__); "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_process(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
-    loaded_from, scipy_modules = done.stdout.splitlines()
-    assert Path(loaded_from).resolve().is_relative_to(src)
-    assert scipy_modules == "[]"
+
+
+def _heavy_packages_after(statement: str) -> list[str]:
+    """numpy, mpmath and scipy as far as a fresh interpreter has loaded them
+    after running `statement`; betaop must come from this checkout."""
+    done = _fresh_process(
+        "import contextlib, io, json, sys\n%s\nimport betaop\n"
+        "print(json.dumps([betaop.__file__, sorted({m.split('.')[0] for m in sys.modules}"
+        " & {'numpy', 'mpmath', 'scipy'})]))" % statement)
+    loaded_from, packages = json.loads(done.stdout.splitlines()[-1])
+    assert Path(loaded_from).resolve().is_relative_to(SRC)
+    return packages
+
+
+@pytest.mark.parametrize("statement", ["import betaop", "import betaop.cli"])
+def test_package_import_loads_no_numeric_package(statement):
+    assert _heavy_packages_after(statement) == []
+
+
+@pytest.mark.parametrize("argv,packages", [
+    (["eigen-check", "--a0", "2", "--a1", "1"], []),
+    (["iterate", "--a0", "1", "--a1", "1", "--F", "cubic", "--k", "6", "--out", "json"], []),
+    (["partition-dump", "--a0", "2", "--a1", "1", "--M", "4", "--out", "json"], []),
+    (["bernoulli-table", "--n-max", "10"], []),
+    (["asymptotics", "--a0", "1", "--a1", "1", "--F", "linear", "--k-max", "14"], ["numpy"]),
+    *[(["asymptotics", "--a0", "1", "--a1", "1", "--F", F, "--k-max", "12",
+        "--engine", "numeric"], ["numpy"]) for F in ("exp-normalized", "sin", "cubic")],
+    (["integer-base", "--q", "2", "--N", "3", "--F", "sin", "--k-min", "6",
+      "--k-max", "12"], ["mpmath", "numpy"]),
+])
+def test_command_imports_only_what_it_uses(argv, packages):
+    statement = ("from betaop.cli import main\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    assert main(%r) == 0" % argv)
+    assert _heavy_packages_after(statement) == packages
+
+
+def test_written_manifest_records_numpy_and_mpmath_versions(tmp_path):
+    import mpmath
+    import numpy
+    target = tmp_path / "eigen.txt"
+    _fresh_process("from betaop.cli import main; assert main(%r) == 0"
+                   % ["eigen-check", "--a0", "1", "--a1", "1", "--output", str(target)])
+    manifest = json.loads((tmp_path / "eigen.txt.manifest.json").read_text())
+    assert manifest["versions"]["numpy"] == numpy.__version__
+    assert manifest["versions"]["mpmath"] == mpmath.__version__
+    assert manifest["elapsed_seconds"] >= 0
 
 
 def test_module_entry_point_matches_main(capsys):
@@ -251,6 +295,29 @@ def test_every_command_writes_data_and_manifest(tmp_path, capsys, argv, extras):
     assert set(manifest) == MANIFEST_KEYS | extras
     assert manifest["command"] == argv[0]
     assert manifest["parameters"]["command"] == argv[0]
+
+
+def test_numeric_engine_on_a_piecewise_file_is_a_usage_error(tmp_path, capsys):
+    path = _write_json(tmp_path, builtin("linear").piecewise(GOLDEN))
+    argv = ["asymptotics", "--a0", "1", "--a1", "1", "--piecewise-json", path,
+            "--k-max", "8"]
+    assert run([*argv, "--engine", "numeric"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --piecewise-json needs --engine exact\n"
+    assert run([*argv, "--engine", "exact"]) == 0
+
+
+def test_partition_dump_beyond_the_gap_budget_exits_3(capsys):
+    started = time.perf_counter()
+    assert run(["partition-dump", "--a0", "1", "--a1", "1", "--M", "40"]) == 3
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("budget exhausted: ")
+    # below the budget the dump is unchanged (digest recorded before the budget)
+    assert run(["partition-dump", "--a0", "1", "--a1", "1", "--M", "4"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "060f0e282734a33d63b3c068dedac4f37d84f6b6cb62d1db95be8cec61dfa756"
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):

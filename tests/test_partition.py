@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from betaop import (BetaParams, PartitionPoint, apply_transfer,
+from betaop import (BetaParams, BudgetExceeded, PartitionPoint, apply_transfer,
                     bernoulli_piecewise, building_block, collapse_check,
                     first_layer_point, intermediate_check, lemmacrux_check,
                     refine_to_level)
@@ -125,3 +125,15 @@ def test_budget_guards():
     gap = PartitionPoint((1,), (0,), GOLDEN.zero())
     with pytest.raises(ValueError):
         building_block(gap, 9)
+
+
+@pytest.mark.parametrize("a0,a1", [(1, 1), (2, 1), (3, 2), (5, 5)])
+def test_gap_budget_is_checked_on_the_exact_count(monkeypatch, a0, a1):
+    import betaop.partition as partition
+    p = BetaParams(a0, a1)
+    count = len(refine_to_level(p, 4).gaps)
+    monkeypatch.setattr(partition, "MAX_GAPS", count)
+    assert len(refine_to_level(p, 4).gaps) == count
+    monkeypatch.setattr(partition, "MAX_GAPS", count - 1)
+    with pytest.raises(BudgetExceeded):
+        refine_to_level(p, 4)
