@@ -114,7 +114,7 @@ def eb_expand(F, a: QuadNum, b: QuadNum, N: int) -> EBExpansion:
     quadrature."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if (b - a).sign() <= 0:
+    if b <= a:
         raise ValueError("need a < b")
     af, bf = float(a), float(b)
     mean = F.integral(af, bf) / (bf - af)

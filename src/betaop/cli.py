@@ -229,6 +229,8 @@ def cmd_partition_dump(args):
 
 
 def cmd_bernoulli_table(args):
+    if args.n_max < 0:
+        raise ValueError("--n-max must be >= 0, got %d" % args.n_max)
     ns = range(args.n_max + 1)
     if args.out == "json":
         text = _json({"schema": 1,
@@ -349,7 +351,9 @@ def main(argv=None) -> int:
         if isinstance(exc, SystemExit):
             print(exc, file=sys.stderr)
         else:
-            print("error: %s" % exc, file=sys.stderr)
+            # str() of a KeyError is the repr of its message, quotes included
+            message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            print("error: %s" % message, file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -90,6 +90,19 @@ def _make(a: int, b: int, d: int, params: BetaParams) -> "QuadNum":
     return _raw(a, b, d, params)
 
 
+def _sign(a: int, b: int, params: BetaParams) -> int:
+    """Exact sign of a + b*beta."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    if a == 0 or (a > 0) == (b > 0):
+        return sb
+    # here r = -a/b > 0, and beta > r iff r^2 - a0 r - a1 < 0 (beta is the
+    # positive root), i.e. a^2 + a0 a b - a1 b^2 < 0 after scaling by b^2
+    f = a * a + params.a0 * a * b - params.a1 * b * b
+    return sb if f < 0 else -sb  # equality impossible: beta is irrational
+
+
 class QuadNum:
     """An element (a + b*beta)/d of Q(beta) with exact field arithmetic.
 
@@ -218,16 +231,7 @@ class QuadNum:
 
     def sign(self) -> int:
         """Exact sign of (a + b*beta)/d, which is the sign of a + b*beta."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        sb = 1 if b > 0 else -1
-        if a == 0 or (a > 0) == (b > 0):
-            return sb
-        # here r = -a/b > 0, and beta > r iff r^2 - a0 r - a1 < 0 (beta is the
-        # positive root), i.e. a^2 + a0 a b - a1 b^2 < 0 after scaling by b^2
-        f = a * a + self.params.a0 * a * b - self.params.a1 * b * b
-        return sb if f < 0 else -sb  # equality impossible: beta is irrational
+        return _sign(self.a, self.b, self.params)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -251,17 +255,25 @@ class QuadNum:
             return hash(Fraction(self.a, self.d))
         return hash((self.a, self.b, self.d, self.params))
 
+    def _cmp(self, other) -> int:
+        """Sign of self - other, from its unnormalised form over d * o.d."""
+        o = self._coerce(other)
+        if o is NotImplemented:
+            raise TypeError("cannot order QuadNum and %s" % type(other).__name__)
+        d, od = self.d, o.d
+        return _sign(self.a * od - o.a * d, self.b * od - o.b * d, self.params)
+
     def __lt__(self, other):
-        return (self - other).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other):
-        return (self - other).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other):
-        return (self - other).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other):
-        return (self - other).sign() >= 0
+        return self._cmp(other) >= 0
 
     # -- conversions ---------------------------------------------------------
 
@@ -341,13 +353,15 @@ class QuadNum:
         return "%s%s%s" % (self.p, op, qs)
 
 
-def affine_horner(coeffs, scale: QuadNum, shift: QuadNum) -> list:
-    """Coefficients (ascending) of x -> sum_i c_i (scale*x + shift)^i.
+def affine_horner(coeffs, scale: QuadNum, shift: QuadNum,
+                  factor: QuadNum | None = None) -> list:
+    """Coefficients (ascending) of x -> factor * sum_i c_i (scale*x + shift)^i,
+    factor 1 when None.
 
     Horner on integer pairs u + v*beta over one denominator: with L the lcm
     of the coefficient denominators and E = lcm(d_scale, d_shift), it is
-    sum_i L c_i E^(n-i) (E shift + E scale x)^i / (L E^n), normalised once
-    per output coefficient."""
+    sum_i L c_i E^(n-i) (E shift + E scale x)^i / (L E^n); each output pair
+    is multiplied by the factor's pair and normalised once."""
     params = scale.params
     a0, a1 = params.a0, params.a1
     L = math.lcm(*(c.d for c in coeffs))
@@ -368,6 +382,9 @@ def affine_horner(coeffs, scale: QuadNum, shift: QuadNum) -> list:
         out[0] = (out[0][0] + c.a * m, out[0][1] + c.b * m)
         acc, w = out, w * E
     den = L * (w // E)
+    if factor is not None:
+        fa, fb, den = factor.a, factor.b, den * factor.d
+        acc = [(u * fa + v * fb * a1, u * fb + v * fa + v * fb * a0) for u, v in acc]
     return [_make(u, v, den, params) for u, v in acc]
 
 

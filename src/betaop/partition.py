@@ -64,7 +64,7 @@ class LevelPartition:
         lo, hi = 0, len(self.gaps) - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if (x - self.gaps[mid].value).sign() >= 0:
+            if x >= self.gaps[mid].value:
                 lo = mid
             else:
                 hi = mid - 1
@@ -115,8 +115,7 @@ def building_block(gap: PartitionPoint, s: int) -> PiecewisePoly:
         raise ValueError("s must be <= 8")
     params = gap.value.params
     scale = params.power(gap.depth)
-    poly = bernoulli_polynomial(params, s).compose_affine(scale, -(scale * gap.value))
-    poly = poly.scaled(scale)
+    poly = bernoulli_polynomial(params, s).compose_affine(scale, -(scale * gap.value), scale)
     return PiecewisePoly.on_interval(poly, gap.value, gap.right_endpoint())
 
 

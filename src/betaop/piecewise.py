@@ -97,11 +97,12 @@ class Polynomial:
         return Polynomial([zero] + [c * Fraction(1, n + 1) for n, c in enumerate(self.coeffs)],
                           self.params)
 
-    def compose_affine(self, scale: QuadNum, shift: QuadNum) -> "Polynomial":
-        """The polynomial x -> p(scale*x + shift)."""
+    def compose_affine(self, scale: QuadNum, shift: QuadNum,
+                       factor: QuadNum | None = None) -> "Polynomial":
+        """The polynomial x -> factor * p(scale*x + shift), factor 1 when None."""
         if not self.coeffs:
             return self
-        return Polynomial(affine_horner(self.coeffs, scale, shift), self.params)
+        return Polynomial(affine_horner(self.coeffs, scale, shift, factor), self.params)
 
     def float_coeffs(self) -> list[float]:
         # descending order for np.polyval
@@ -147,7 +148,7 @@ class PiecewisePoly:
         if not bps[0].is_zero() or bps[-1] != 1:
             raise ValueError("breakpoints must start at 0 and end at 1")
         for a, b in zip(bps, bps[1:]):
-            if (b - a).sign() <= 0:
+            if b <= a:
                 raise ValueError("breakpoints must be strictly increasing")
         self.breakpoints, self.pieces = _merged(bps, pcs)
 
@@ -164,8 +165,7 @@ class PiecewisePoly:
 
     @classmethod
     def zero(cls, params: BetaParams) -> "PiecewisePoly":
-        z = params.zero()
-        return cls(params, [z, params.one()], [Polynomial.zero(params)])
+        return cls._trusted(params, [params.zero(), params.one()], [Polynomial.zero(params)])
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial) -> "PiecewisePoly":
@@ -177,7 +177,7 @@ class PiecewisePoly:
         """poly on [a,b] within [0,1], zero elsewhere."""
         params = poly.params
         zero_q, one_q = params.zero(), params.one()
-        if a.sign() < 0 or (b - one_q).sign() > 0 or (b - a).sign() <= 0:
+        if a.sign() < 0 or b > one_q or b <= a:
             raise ValueError("interval must be non-degenerate inside [0,1]")
         bps, pcs = [zero_q], []
         zp = Polynomial.zero(params)
@@ -186,10 +186,11 @@ class PiecewisePoly:
             pcs.append(zp)
         bps.append(b)
         pcs.append(poly)
-        if (one_q - b).sign() > 0:
+        if b < one_q:
             bps.append(one_q)
             pcs.append(zp)
-        return cls(params, bps, pcs)
+        # the checks above imply everything the public constructor checks
+        return cls._trusted(params, *_merged(bps, pcs))
 
     @classmethod
     def indicator(cls, params: BetaParams, a: QuadNum, b: QuadNum) -> "PiecewisePoly":
@@ -198,15 +199,15 @@ class PiecewisePoly:
     # -- evaluation ----------------------------------------------------------
 
     def _piece_index(self, x: QuadNum) -> int:
-        if x.sign() < 0 or (x - 1).sign() > 0:
+        if x.sign() < 0 or x > 1:
             raise ValueError("argument outside [0,1]")
-        if (x - 1).sign() == 0:
+        if x == 1:
             return len(self.pieces) - 1
         lo, hi = 0, len(self.pieces) - 1
         # largest i with breakpoints[i] <= x
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if (x - self.breakpoints[mid]).sign() >= 0:
+            if x >= self.breakpoints[mid]:
                 lo = mid
             else:
                 hi = mid - 1
@@ -238,7 +239,7 @@ class PiecewisePoly:
         while True:
             an = self.breakpoints[i + 1]
             bn = other.breakpoints[j + 1]
-            s = 0 if an == bn else (an - bn).sign()
+            s = 0 if an == bn else (-1 if an < bn else 1)
             pairs.append((i, j))
             bps.append(an if s <= 0 else bn)
             if s <= 0:
@@ -279,31 +280,31 @@ class PiecewisePoly:
         coefficients) is unique, so this compares it directly."""
         return self.breakpoints == other.breakpoints and self.pieces == other.pieces
 
-    def compose_affine(self, scale: QuadNum, shift: QuadNum) -> "PiecewisePoly":
-        """The function x -> f(scale*x + shift) on [0,1], extended by zero
-        where scale*x + shift leaves [0,1]. Requires scale > 0.
+    def compose_affine(self, scale: QuadNum, shift: QuadNum,
+                       factor: QuadNum | None = None) -> "PiecewisePoly":
+        """The function x -> factor * f(scale*x + shift) on [0,1] (factor 1
+        when None), extended by zero where scale*x + shift leaves [0,1].
+        Requires scale > 0.
 
         Only the support [s, t] of f (from the first to the last non-zero
         piece) is pulled back; an image [shift, shift + scale] that misses it
         gives the zero function at once."""
         if scale.sign() <= 0:
             raise ValueError("scale must be positive")
-        live = [i for i, p in enumerate(self.pieces) if not p.is_zero()]
-        if not live:
+        pieces = self.pieces
+        # in canonical form no two zero pieces are adjacent
+        first = 1 if pieces[0].is_zero() else 0
+        last = len(pieces) - (2 if pieces[-1].is_zero() else 1)
+        if first > last:
             return PiecewisePoly.zero(self.params)
-        first, last = live[0], live[-1]
         s, t = self.breakpoints[first], self.breakpoints[last + 1]
-        if (shift - t).sign() >= 0 or (shift + scale - s).sign() <= 0:
+        if shift >= t or shift + scale <= s:
             return PiecewisePoly.zero(self.params)
         inv = scale.inverse()
         zero_q, one_q = self.params.zero(), self.params.one()
         # support in x: scale*x+shift in [s, t]
-        lo = (s - shift) * inv
-        hi = (t - shift) * inv
-        if lo.sign() < 0:
-            lo = zero_q
-        if (hi - one_q).sign() > 0:
-            hi = one_q
+        lo = max((s - shift) * inv, zero_q)
+        hi = min((t - shift) * inv, one_q)
         zp = Polynomial.zero(self.params)
         bps, pcs = [zero_q], []
         if lo.sign() > 0:
@@ -315,17 +316,17 @@ class PiecewisePoly:
         idx = first
         for m in range(first + 1, last + 1):
             x = (self.breakpoints[m] - shift) * inv
-            if (x - lo).sign() <= 0:
+            if x <= lo:
                 idx = m
-            elif (hi - x).sign() <= 0:
+            elif hi <= x:
                 break
             else:
                 bps.append(x)
-                pcs.append(self.pieces[idx].compose_affine(scale, shift))
+                pcs.append(pieces[idx].compose_affine(scale, shift, factor))
                 idx = m
         bps.append(hi)
-        pcs.append(self.pieces[idx].compose_affine(scale, shift))
-        if (one_q - hi).sign() > 0:
+        pcs.append(pieces[idx].compose_affine(scale, shift, factor))
+        if hi < one_q:
             bps.append(one_q)
             pcs.append(zp)
         return PiecewisePoly._trusted(self.params, *_merged(bps, pcs))

@@ -92,7 +92,7 @@ def make_psi_basis(params: BetaParams, nu: int, normalized: bool = True) -> PsiB
             factor = QuadNum(Fraction(4) if s == 1 else Fraction(1), 0, params)
         odd = PiecewisePoly.from_polynomial(bs.scaled(factor))
         ratio = beta / a1
-        even_poly = bs.compose_affine(ratio, params.zero()).scaled(factor * ratio)
+        even_poly = bs.compose_affine(ratio, params.zero(), factor * ratio)
         even = PiecewisePoly.on_interval(even_poly, params.zero(), cut)
         funcs.extend([odd, even])
     return PsiBasis(params=params, nu=nu, normalized=normalized, functions=funcs)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .field import BetaParams, QuadNum
 from .piecewise import PiecewisePoly, Polynomial
@@ -27,11 +28,17 @@ def apply_transfer(f: PiecewisePoly) -> PiecewisePoly:
     params = f.params
     binv = params.power(-1)
     acc = None
-    for j in range(params.a0 + 1):
-        term = f.compose_affine(binv, binv * j)
+    for shift in _branch_shifts(params):
+        term = f.compose_affine(binv, shift, binv)
         if not term.is_zero():
             acc = term if acc is None else acc + term
-    return PiecewisePoly.zero(params) if acc is None else acc.scaled(binv)
+    return PiecewisePoly.zero(params) if acc is None else acc
+
+
+@lru_cache(maxsize=None)
+def _branch_shifts(params: BetaParams) -> tuple[QuadNum, ...]:
+    """The shifts j/beta, j = 0..a0, of the transfer branches."""
+    return tuple(params.power(-1) * j for j in range(params.a0 + 1))
 
 
 def apply_transfer_iterate(f: PiecewisePoly, k: int) -> PiecewisePoly:
@@ -59,19 +66,16 @@ def apply_integer_transfer(f: PiecewisePoly, q: int) -> PiecewisePoly:
     if q < 2:
         raise ValueError("q must be >= 2")
     params = f.params
-    for b in f.breakpoints:
-        if not b.is_rational():
-            raise ValueError("integer-base operator needs rational breakpoints")
-    for p in f.pieces:
-        for c in p.coeffs:
-            if not c.is_rational():
-                raise ValueError("integer-base operator needs rational coefficients")
+    if not all(b.is_rational() for b in f.breakpoints):
+        raise ValueError("integer-base operator needs rational breakpoints")
+    if not all(c.is_rational() for p in f.pieces for c in p.coeffs):
+        raise ValueError("integer-base operator needs rational coefficients")
     qinv = QuadNum(Fraction(1, q), 0, params)
     acc = None
     for j in range(q):
-        term = f.compose_affine(qinv, QuadNum(Fraction(j, q), 0, params))
+        term = f.compose_affine(qinv, QuadNum(Fraction(j, q), 0, params), qinv)
         acc = term if acc is None else acc + term
-    return acc.scaled(qinv)
+    return acc
 
 
 def pointwise_transfer_power(F, params: BetaParams, k: int, xs,
@@ -145,7 +149,7 @@ def greedy_expand(x: QuadNum, k: int) -> GreedyDigits:
     if k < 1:
         raise ValueError("k must be >= 1")
     params = x.params
-    if x.sign() < 0 or (x - 1).sign() >= 0:
+    if x.sign() < 0 or x >= 1:
         raise ValueError("x must lie in [0,1)")
     beta = params.beta()
     digits = []

@@ -43,10 +43,15 @@ def test_eigen_check_json_report(capsys):
     assert (eigs[2] - binv).is_zero()
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     # invalid parameter pair (a1 > a0) and unknown catalog name
     assert run(["eigen-check", "--a0", "1", "--a1", "2"]) == 2
+    capsys.readouterr()
     assert run(["iterate", "--a0", "1", "--a1", "1", "--F", "nope"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown built-in function 'nope'; choose from ['cubic', "
+        "'exp-normalized', 'linear', 'psi1', 'psi3', 'quadratic', 'sin', "
+        "'sin-normalized']\n")
     # malformed invocation
     assert run(["no-such-command"]) == 2
 
@@ -250,11 +255,13 @@ def test_piecewise_json_field_mismatch_is_a_usage_error(tmp_path, capsys, argv):
     ["asymptotics", "--a0", "1", "--a1", "1", "--k-max", "0"],
     ["asymptotics", "--a0", "1", "--a1", "1", "--k-max", "0", "--engine", "numeric"],
     ["integer-base", "--k-min", "10", "--k-max", "5"],
+    ["bernoulli-table", "--n-max", "-1"],
 ])
 def test_empty_k_range_is_a_usage_error(capsys, argv):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_float_overflow_is_a_usage_error(tmp_path, capsys):

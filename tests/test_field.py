@@ -294,3 +294,20 @@ def test_floor_brackets(xs):
     (x,) = xs
     m = x.floor()
     assert (x - m).sign() >= 0 > (x - m - 1).sign()
+
+
+@settings(deadline=None)
+@given(elements(2), st.integers(-BIG, BIG), st.integers(1, BIG))
+def test_comparisons_agree_with_sign_of_difference(xy, num, den):
+    x, y = xy
+    for other in (y, x, x + 1, num, Fraction(num, den)):
+        s = (x - other).sign()
+        assert (x < other) == (s < 0) and (x <= other) == (s <= 0)
+        assert (x > other) == (s > 0) and (x >= other) == (s >= 0)
+        # int and Fraction on the left reach the reflected QuadNum comparison
+        assert (other > x) == (s < 0) and (other >= x) == (s <= 0)
+    for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+        with pytest.raises(TypeError):
+            getattr(x, op)(0.5)
+    with pytest.raises(TypeError):
+        0.5 < x

@@ -322,15 +322,18 @@ def horner_oracle(p, scale, shift):
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from(ALL_PARAMS_5).flatmap(
     lambda p: st.tuples(st.lists(big_quadnums(p), min_size=1, max_size=7),
-                        big_quadnums(p), big_quadnums(p), st.just(p))))
+                        big_quadnums(p), big_quadnums(p),
+                        big_quadnums(p).filter(lambda x: not x.is_zero()), st.just(p))))
 def test_integer_pair_horner_matches_quadnum_horner(args):
-    coeffs, scale, shift, params = args
+    coeffs, scale, shift, factor, params = args
     if scale.sign() < 0:
         scale = -scale
     elif scale.is_zero():
         scale = params.one()
     p = Polynomial(coeffs, params)
     assert p.compose_affine(scale, shift) == horner_oracle(p, scale, shift)
+    assert p.compose_affine(scale, shift, factor) \
+        == horner_oracle(p, scale, shift).scaled(factor)
     assert p.compose_affine(params.power(-1), params.power(-1) * params.a0) \
         == horner_oracle(p, params.power(-1), params.power(-1) * params.a0)
 
@@ -345,3 +348,24 @@ def test_internal_constructions_stay_canonical():
     twice = f.scaled(2)
     rebuilt = PiecewisePoly(params, twice.breakpoints, twice.pieces)
     assert twice.breakpoints == rebuilt.breakpoints and twice.pieces == rebuilt.pieces
+
+
+def test_on_interval_rejects_intervals_outside_or_degenerate():
+    params = BetaParams(2, 1)
+    binv = params.power(-1)
+    one = Polynomial.constant(params.one())
+    for a, b in ((-binv, binv),             # a < 0
+                 (binv, params.beta()),     # b > 1
+                 (binv, binv),              # b = a
+                 (binv * 2, binv)):         # b < a
+        with pytest.raises(ValueError):
+            PiecewisePoly.on_interval(one, a, b)
+
+
+def test_on_interval_of_zero_polynomial_is_canonical_zero():
+    params = BetaParams(2, 1)
+    binv = params.power(-1)
+    zero = PiecewisePoly.zero(params)
+    for a, b in ((binv, binv * 2), (params.zero(), binv), (binv, params.one())):
+        f = PiecewisePoly.on_interval(Polynomial.zero(params), a, b)
+        assert f.breakpoints == zero.breakpoints and f.pieces == zero.pieces

@@ -267,3 +267,21 @@ def test_transfer_of_zero_is_zero():
     for params in ALL_PARAMS_5:
         zero = PiecewisePoly.zero(params)
         assert apply_transfer(zero).equal_ae(zero)
+
+
+@pytest.mark.parametrize("params", ALL_PARAMS_5, ids=str)
+def test_transfer_pulls_back_once_per_branch(params, monkeypatch):
+    # one PiecewisePoly.compose_affine call per branch, missed ones included
+    calls = []
+    pull_back = PiecewisePoly.compose_affine
+
+    def counted(f, *args):
+        calls.append(args)
+        return pull_back(f, *args)
+
+    monkeypatch.setattr(PiecewisePoly, "compose_affine", counted)
+    block = building_block(refine_to_level(params, 1).gaps[-1], 1)
+    for f in (block, PiecewisePoly.zero(params)):
+        calls.clear()
+        apply_transfer(f)
+        assert len(calls) == params.a0 + 1
