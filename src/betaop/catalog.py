@@ -1,5 +1,5 @@
 """Built-in smooth test functions with analytic derivatives to arbitrary
-order, exact antiderivatives, and (where useful) mpmath evaluation.
+order, exact antiderivatives, and mpmath evaluation at working precision.
 
 Derivatives are supplied analytically rather than by finite differences, so
 decay-rate measurements are not polluted by differentiation noise.
@@ -39,18 +39,12 @@ class SmoothFunction:
         return self.nth_derivative(order)(x)
 
     def mp_eval(self, x):
-        if self.mp_fn is None:
-            import mpmath as mp
-            return mp.mpf(self.fn(float(x)))
         return self.mp_fn(x)
 
     def mp_deriv_eval(self, order: int, x):
         if order == 0:
             return self.mp_eval(x)
-        if self.mp_nth_derivative is not None:
-            return self.mp_nth_derivative(order)(x)
-        import mpmath as mp
-        return mp.mpf(self.deriv_eval(order, float(x)))
+        return self.mp_nth_derivative(order)(x)
 
     def integral(self, a: float, b: float) -> float:
         if self.antiderivative is not None:
@@ -61,14 +55,22 @@ class SmoothFunction:
         if self.mp_antiderivative is not None:
             return self.mp_antiderivative(b) - self.mp_antiderivative(a)
         import mpmath as mp
-        if self.antiderivative is not None:
-            return mp.mpf(self.antiderivative(float(b)) - self.antiderivative(float(a)))
         return mp.quad(self.mp_eval, [a, b])
 
     def piecewise(self, params: BetaParams) -> PiecewisePoly:
         if self.piecewise_factory is None:
             raise ValueError("%s has no exact piecewise form" % self.name)
         return self.piecewise_factory(params)
+
+
+def _horner(cs) -> Callable:
+    """x -> sum_i cs[i] x^i, coefficients ascending."""
+    def f(x):
+        acc = 0 * x
+        for c in reversed(cs):
+            acc = acc * x + c
+        return acc
+    return f
 
 
 def _poly_smooth(name: str, coeffs: list[Fraction]) -> SmoothFunction:
@@ -80,14 +82,13 @@ def _poly_smooth(name: str, coeffs: list[Fraction]) -> SmoothFunction:
         return cs
 
     def make_eval(cs):
-        fl = [float(c) for c in reversed(cs)] or [0.0]
+        return _horner([float(c) for c in cs] or [0.0])
 
-        def f(x):
-            acc = 0.0 * x
-            for c in fl:
-                acc = acc * x + c
-            return acc
-        return f
+    def make_mp_eval(cs):
+        # integers over one denominator: mpf arithmetic at working precision
+        den = math.lcm(*(c.denominator for c in cs))
+        f = _horner([int(c * den) for c in cs])
+        return lambda x: f(x) / den
 
     anti = [Fraction(0)] + [c / (n + 1) for n, c in enumerate(coeffs)]
 
@@ -99,6 +100,9 @@ def _poly_smooth(name: str, coeffs: list[Fraction]) -> SmoothFunction:
         fn=make_eval(coeffs),
         nth_derivative=lambda order: make_eval(deriv_coeffs(order)),
         antiderivative=make_eval(anti),
+        mp_fn=make_mp_eval(coeffs),
+        mp_nth_derivative=lambda order: make_mp_eval(deriv_coeffs(order)),
+        mp_antiderivative=make_mp_eval(anti),
         piecewise_factory=pw_factory,
     )
 
@@ -140,11 +144,18 @@ def _make_sin_normalized() -> SmoothFunction:
         base = _sin_cycle(order)
         return lambda x: c * base(x)
 
+    def mp_deriv(order: int) -> Callable:
+        # c at working precision: 1/(1 - cos 1), cos being the order-1 entry
+        return lambda x: _mp_sin_cycle(order)(x) / (1 - _mp_sin_cycle(1)(1))
+
     return SmoothFunction(
         name="sin-normalized",
         fn=lambda x: c * math.sin(x),
         nth_derivative=deriv,
         antiderivative=lambda x: -c * math.cos(x),
+        mp_fn=mp_deriv(0),
+        mp_nth_derivative=mp_deriv,
+        mp_antiderivative=lambda x: -mp_deriv(1)(x),
     )
 
 

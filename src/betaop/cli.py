@@ -25,7 +25,7 @@ from .field import BetaParams
 from .partition import refine_to_level
 from .piecewise import PiecewisePoly
 from .spectral import mat_equal, mat_mul, mat_scale, riesz_projections
-from .transfer import BudgetExceeded, apply_transfer_iterate
+from .transfer import BudgetExceeded, apply_transfer, apply_transfer_iterate
 
 EXIT_PASS = 0
 EXIT_VERIFICATION = 1
@@ -90,7 +90,12 @@ def _load_function(args):
     if not args.piecewise_json:
         return builtin(args.F)
     with open(args.piecewise_json) as fh:
-        F = PiecewisePoly.from_json_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        F = PiecewisePoly.from_json_dict(doc)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError("--piecewise-json %s is malformed: %s"
+                         % (args.piecewise_json, exc)) from None
     if F.params != _params(args):
         raise ValueError("--piecewise-json %s is over a0=%d a1=%d, not --a0 %d --a1 %d"
                          % (args.piecewise_json, F.params.a0, F.params.a1,
@@ -123,14 +128,12 @@ def cmd_eigen_check(args):
                 zero = mat_scale(pi, params.zero())
                 ok_alg &= mat_equal(mat_mul(pi, pj), zero)
     checks = [
-        ("P u1 = u1", apply_transfer_iterate(u1, 1).equal_ae(u1)),
-        ("P u2 = (-a1/beta^2) u2",
-         apply_transfer_iterate(u2, 1).equal_ae(u2.scaled(lam2))),
-        ("P u3 = (1/beta) u3",
-         apply_transfer_iterate(u3, 1).equal_ae(u3.scaled(binv))),
-        ("integral u1 = 1", (u1.integrate() - 1).is_zero()),
-        ("integral u2 = 0", u2.integrate().is_zero()),
-        ("integral u3 = 0", u3.integrate().is_zero()),
+        ("P u1 = u1", apply_transfer(u1).equal_ae(u1)),
+        ("P u2 = (-a1/beta^2) u2", apply_transfer(u2).equal_ae(u2.scaled(lam2))),
+        ("P u3 = (1/beta) u3", apply_transfer(u3).equal_ae(u3.scaled(binv))),
+        ("integral u1 = 1", u1.integrate() == 1),
+        ("integral u2 = 0", u2.integrate() == 0),
+        ("integral u3 = 0", u3.integrate() == 0),
         ("projection algebra on the 4x4 restriction matrix", ok_alg),
     ]
     lines = ["%s %s" % ("PASS" if ok else "FAIL", label) for label, ok in checks]

@@ -316,24 +316,7 @@ class QuadNum:
         if self.b == 0:
             n = round(self.p * scale)  # half-even on exact rationals
         else:
-            # value = r + s*sqrt(D) with rational r, s
-            r = Fraction(2 * self.a + self.params.a0 * self.b, 2 * self.d)
-            s = Fraction(self.b, 2 * self.d)
-            D = self.params.disc
-            m = digits + 20
-            while True:
-                lo = Fraction(isqrt(D * 10 ** (2 * m)), 10 ** m)
-                hi = lo + Fraction(1, 10 ** m)
-                if s > 0:
-                    vlo, vhi = r + s * lo, r + s * hi
-                else:
-                    vlo, vhi = r + s * hi, r + s * lo
-                nlo = math.floor(vlo * scale + Fraction(1, 2))
-                nhi = math.floor(vhi * scale + Fraction(1, 2))
-                if nlo == nhi:
-                    n = nlo
-                    break
-                m += 20
+            n = (self * scale + Fraction(1, 2)).floor()  # never a tie: irrational
         sign = "-" if n < 0 else ""
         ip, fp = divmod(abs(n), scale)
         return "%s%d.%0*d" % (sign, ip, digits, fp)

@@ -6,6 +6,7 @@ each block onto a global basis function.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .bernoulli import bernoulli_polynomial, bernoulli_piecewise
@@ -61,14 +62,7 @@ class LevelPartition:
 
     def locate(self, x: QuadNum) -> int:
         """Index of the gap containing x (right endpoints excluded except at 1)."""
-        lo, hi = 0, len(self.gaps) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if x >= self.gaps[mid].value:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return bisect_right(self.gaps, x, 1, key=lambda g: g.value) - 1
 
 
 def refine_to_level(params: BetaParams, M: int) -> LevelPartition:
@@ -82,16 +76,11 @@ def refine_to_level(params: BetaParams, M: int) -> LevelPartition:
         n, prev = params.a0 * n + params.a1 * prev, n
         if n > MAX_GAPS:
             raise BudgetExceeded("level %d has over %d gaps" % (M, MAX_GAPS))
-    binv = params.power(-1)
     gaps: list[PartitionPoint] = []
-    # offsets[depth][(k, j)] = binv^depth * t(k, j), precomputed once
+    # offsets[depth][(k, j)] = beta^-depth * t(k, j), precomputed once
     layer = [(k, j) for k in (1, 2) for j in range(params.a0 if k == 1 else params.a1)]
-    offsets = []
-    scale = params.one()
-    for _ in range(M):
-        offsets.append({(k, j): scale * first_layer_point(params, k, j)
-                        for k, j in layer})
-        scale = scale * binv
+    offsets = [{(k, j): params.power(-depth) * first_layer_point(params, k, j)
+                for k, j in layer} for depth in range(M)]
 
     def split(k_word, j_word, value, depth):
         if depth >= M:

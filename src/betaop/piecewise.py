@@ -8,7 +8,7 @@ piece at x=1), which is consistent with almost-everywhere identities.
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -164,7 +164,9 @@ class PiecewisePoly:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    @lru_cache(maxsize=None)
     def zero(cls, params: BetaParams) -> "PiecewisePoly":
+        # shared: no operation changes a function's breakpoints or pieces in place
         return cls._trusted(params, [params.zero(), params.one()], [Polynomial.zero(params)])
 
     @classmethod
@@ -201,17 +203,8 @@ class PiecewisePoly:
     def _piece_index(self, x: QuadNum) -> int:
         if x.sign() < 0 or x > 1:
             raise ValueError("argument outside [0,1]")
-        if x == 1:
-            return len(self.pieces) - 1
-        lo, hi = 0, len(self.pieces) - 1
-        # largest i with breakpoints[i] <= x
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if x >= self.breakpoints[mid]:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        # largest i < len(pieces) with breakpoints[i] <= x, so 1 is in the last piece
+        return bisect_right(self.breakpoints, x, 1, len(self.pieces)) - 1
 
     def eval(self, x: QuadNum) -> QuadNum:
         return self.pieces[self._piece_index(x)].eval(x)

@@ -57,7 +57,7 @@ def mat_scale(a: Matrix, c: QuadNum) -> Matrix:
 
 
 def mat_equal(a: Matrix, b: Matrix) -> bool:
-    return all((x - y).is_zero() for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 # -- psi basis ---------------------------------------------------------------
@@ -81,9 +81,7 @@ def make_psi_basis(params: BetaParams, nu: int, normalized: bool = True) -> PsiB
     if normalized and nu > 2:
         raise ValueError("normalized basis requires nu <= 2 "
                          "(the L1 norm of B_2 is irrational)")
-    beta = params.beta()
-    a1 = params.a1
-    cut = beta.inverse() * a1  # a1/beta
+    cut = params.power(-1) * params.a1
     funcs = []
     for s in range(nu):
         bs = bernoulli_polynomial(params, s)
@@ -91,7 +89,7 @@ def make_psi_basis(params: BetaParams, nu: int, normalized: bool = True) -> PsiB
         if normalized:
             factor = QuadNum(Fraction(4) if s == 1 else Fraction(1), 0, params)
         odd = PiecewisePoly.from_polynomial(bs.scaled(factor))
-        ratio = beta / a1
+        ratio = params.power(1) / params.a1
         even_poly = bs.compose_affine(ratio, params.zero(), factor * ratio)
         even = PiecewisePoly.on_interval(even_poly, params.zero(), cut)
         funcs.extend([odd, even])
@@ -107,7 +105,7 @@ def expand_in_basis(g: PiecewisePoly, basis: PsiBasis) -> list[QuadNum]:
     if g is not in the span."""
     params = basis.params
     nu = basis.nu
-    cut = params.beta().inverse() * params.a1
+    cut = params.power(-1) * params.a1
     zero = params.zero()
 
     def poly_coeff(poly: Polynomial, deg: int) -> QuadNum:
@@ -146,11 +144,9 @@ def restriction_matrix(basis: PsiBasis) -> RestrictionMatrix:
 
 def block_matrix(params: BetaParams, k: int) -> Matrix:
     """The k-th 2x2 diagonal block of the restriction matrix."""
-    beta = params.beta()
-    binv = beta.inverse()
     return [
-        [binv ** k * params.a0, params.rational(Fraction(1, params.a1 ** (k - 1)))],
-        [binv ** (2 * k) * params.a1 ** k, params.zero()],
+        [params.power(-k) * params.a0, params.rational(Fraction(1, params.a1 ** (k - 1)))],
+        [params.power(-2 * k) * params.a1 ** k, params.zero()],
     ]
 
 
@@ -159,12 +155,10 @@ def block_eigenvalues(params: BetaParams, nu: int) -> list[QuadNum]:
     each verified exactly against the characteristic polynomial of its block."""
     if nu < 1:
         raise ValueError("nu must be >= 1")
-    beta = params.beta()
-    binv = beta.inverse()
     out = []
     for k in range(1, nu + 1):
-        lam_odd = binv ** (k - 1)
-        lam_even = -(binv ** (k + 1)) * params.a1
+        lam_odd = params.power(1 - k)
+        lam_even = -params.power(-k - 1) * params.a1
         blk = block_matrix(params, k)
         tr = blk[0][0] + blk[1][1]
         det = blk[0][0] * blk[1][1] - blk[0][1] * blk[1][0]

@@ -19,20 +19,27 @@ class BudgetExceeded(RuntimeError):
     """Raised when the preimage tree outgrows the configured node budget."""
 
 
+def _pullback_sum(f: PiecewisePoly, scale: QuadNum, shifts,
+                  factor: QuadNum | None) -> PiecewisePoly:
+    """Exact sum over the shifts of x -> factor * f(scale*x + shift) (factor
+    1 when None), in canonical form; pull-backs that come back as the zero
+    function are left out of the sum."""
+    acc = None
+    for shift in shifts:
+        term = f.compose_affine(scale, shift, factor)
+        if not term.is_zero():
+            acc = term if acc is None else acc + term
+    return PiecewisePoly.zero(f.params) if acc is None else acc
+
+
 def apply_transfer(f: PiecewisePoly) -> PiecewisePoly:
     """Exact (1/beta) * sum_{j=0}^{a0} f((x+j)/beta), in canonical form.
 
     The j = a0 branch is automatically supported only on [0, a1/beta]
     because f vanishes outside [0,1]. Branches whose image misses the support
-    of f come back as the zero function and are left out of the sum."""
-    params = f.params
-    binv = params.power(-1)
-    acc = None
-    for shift in _branch_shifts(params):
-        term = f.compose_affine(binv, shift, binv)
-        if not term.is_zero():
-            acc = term if acc is None else acc + term
-    return PiecewisePoly.zero(params) if acc is None else acc
+    of f come back as the zero function."""
+    binv = f.params.power(-1)
+    return _pullback_sum(f, binv, _branch_shifts(f.params), binv)
 
 
 @lru_cache(maxsize=None)
@@ -54,11 +61,8 @@ def apply_koopman(g: PiecewisePoly) -> PiecewisePoly:
     The pull-back x -> g(beta*x - j) vanishes off that branch, so the
     branches add up."""
     params = g.params
-    beta = params.beta()
-    acc = g.compose_affine(beta, params.zero())
-    for j in range(1, params.a0 + 1):
-        acc = acc + g.compose_affine(beta, QuadNum(-j, 0, params))
-    return acc
+    shifts = (QuadNum(-j, 0, params) for j in range(params.a0 + 1))
+    return _pullback_sum(g, params.beta(), shifts, None)
 
 
 def apply_integer_transfer(f: PiecewisePoly, q: int) -> PiecewisePoly:
@@ -70,12 +74,9 @@ def apply_integer_transfer(f: PiecewisePoly, q: int) -> PiecewisePoly:
         raise ValueError("integer-base operator needs rational breakpoints")
     if not all(c.is_rational() for p in f.pieces for c in p.coeffs):
         raise ValueError("integer-base operator needs rational coefficients")
-    qinv = QuadNum(Fraction(1, q), 0, params)
-    acc = None
-    for j in range(q):
-        term = f.compose_affine(qinv, QuadNum(Fraction(j, q), 0, params), qinv)
-        acc = term if acc is None else acc + term
-    return acc
+    qinv = params.rational(Fraction(1, q))
+    shifts = (params.rational(Fraction(j, q)) for j in range(q))
+    return _pullback_sum(f, qinv, shifts, qinv)
 
 
 def pointwise_transfer_power(F, params: BetaParams, k: int, xs,
@@ -135,12 +136,10 @@ class GreedyDigits:
     def partial_sum(self, upto: int | None = None) -> QuadNum:
         """sum_{i<upto} digits[i] * beta^-(i+1), exact."""
         n = len(self.digits) if upto is None else upto
-        binv = self.x0.params.beta().inverse()
-        acc = self.x0.params.zero()
-        power = binv
-        for d in self.digits[:n]:
-            acc = acc + power * d
-            power = power * binv
+        params = self.x0.params
+        acc = params.zero()
+        for i, d in enumerate(self.digits[:n]):
+            acc = acc + params.power(-(i + 1)) * d
         return acc
 
 

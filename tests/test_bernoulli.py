@@ -214,3 +214,25 @@ def test_constant_residual_zero():
     F = builtin("psi1")
     for q, k, N in ((2, 3, 1), (3, 2, 4)):
         assert integer_base_expansion_residual(F, q, k, N, 21) < 1e-14
+
+
+def test_polynomial_residuals_are_exact_at_working_precision():
+    # the expansion of a polynomial ends, so the residual is exactly 0; a
+    # double-precision evaluation of F would leave about 2e-16
+    F = builtin("cubic")
+    with mp.workdps(60):
+        residuals = [integer_base_expansion_residual(F, 2, k, 4, 41) for k in (4, 8, 12)]
+    assert residuals == [0.0] * 3
+
+
+@pytest.mark.parametrize("name", ["psi1", "psi3", "linear", "quadratic", "cubic",
+                                  "sin-normalized", "exp-normalized", "sin"])
+def test_catalog_mp_forms_keep_working_precision(name):
+    F = builtin(name)
+    with mp.workdps(50):
+        x = mp.mpf(1) / 3
+        assert abs(F.mp_eval(x) - F(float(x))) < 1e-15
+        for order in range(4):
+            ref = mp.diff(F.mp_eval, x, order)
+            assert abs(F.mp_deriv_eval(order, x) - ref) < mp.mpf(10) ** -40
+        assert abs(F.mp_integral(0, x) - mp.quad(F.mp_eval, [0, x])) < mp.mpf(10) ** -40

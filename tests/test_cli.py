@@ -251,6 +251,21 @@ def test_piecewise_json_field_mismatch_is_a_usage_error(tmp_path, capsys, argv):
     assert run([cmd, "--a0", "1", "--a1", "1", "--piecewise-json", path, *rest]) == 0
 
 
+@pytest.mark.parametrize("doc", [
+    [],
+    {"a0": "x", "a1": 1, "breakpoints": ["0", "1"], "pieces": [["1"]]},
+    {"a0": 1, "a1": 1, "breakpoints": ["0", "1"], "pieces": [[1]]},
+], ids=["list", "a0-string", "number-coefficient"])
+def test_malformed_piecewise_json_is_a_usage_error(tmp_path, capsys, doc):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    assert run(["iterate", "--a0", "1", "--a1", "1", "--piecewise-json", str(path),
+                "--out", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "malformed" in captured.err and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["asymptotics", "--a0", "1", "--a1", "1", "--k-max", "0"],
     ["asymptotics", "--a0", "1", "--a1", "1", "--k-max", "0", "--engine", "numeric"],

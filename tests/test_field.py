@@ -311,3 +311,18 @@ def test_comparisons_agree_with_sign_of_difference(xy, num, den):
             getattr(x, op)(0.5)
     with pytest.raises(TypeError):
         0.5 < x
+
+
+@settings(deadline=None)
+@given(elements(1), st.integers(1, 60))
+def test_to_decimal_rounds_to_nearest_on_large_components(xs, digits):
+    # decided exactly: (n - 1/2)/10^d < x < (n + 1/2)/10^d, no tie when irrational
+    (x,) = xs
+    text = x.to_decimal(digits)
+    assert len(text.split(".")[1]) == digits
+    half = Fraction(1, 2 * 10 ** digits)
+    value = Fraction(text)
+    if x.is_rational():
+        assert value - half <= x <= value + half
+    else:
+        assert value - half < x < value + half
