@@ -6,8 +6,10 @@ the decomposition error budget, and log-linear decay-exponent fitting.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import linear_regression
 
 from .bernoulli import eb_expand
 from .field import BetaParams
@@ -32,18 +34,16 @@ class ResidualSeries:
 
 
 def fit_slope(ks, values) -> float:
-    """OLS slope of ln(values) vs k, skipping k <= FIT_SKIP and entries that
-    fell below the floating-noise floor relative to the initial residual."""
-    import numpy as np
-    ks = np.asarray(ks, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        raise ValueError("a slope fit needs at least two points, got %d" % values.size)
-    initial = values[0]
-    mask = (ks > FIT_SKIP) & (values > NOISE_FLOOR_RATIO * initial) & (values > 0)
-    if mask.sum() < 2:
+    """Closed-form OLS slope of ln(values) vs k, skipping k <= FIT_SKIP and
+    entries below the floating-noise floor relative to the initial residual."""
+    if len(values) < 2:
+        raise ValueError("a slope fit needs at least two points, got %d" % len(values))
+    floor = NOISE_FLOOR_RATIO * values[0]
+    pts = [(k, math.log(v)) for k, v in zip(ks, values)
+           if k > FIT_SKIP and v > floor and v > 0]
+    if len(pts) < 2:
         raise ValueError("not enough usable points for a slope fit")
-    return float(np.polyfit(ks[mask], np.log(values[mask]), 1)[0])
+    return linear_regression(*zip(*pts)).slope
 
 
 @dataclass
@@ -112,11 +112,10 @@ def two_term_residual_numeric(F, params: BetaParams, ks,
                               grid: int = 101) -> ResidualSeries:
     """Grid sup of the two-term residual using the pointwise preimage engine;
     the eigenfunctions are evaluated exactly at the grid points."""
-    import numpy as np
     if grid < 101:
         raise ValueError("grid must be >= 101")
     u1, _, u3 = make_u_tilde(params)
-    xs = np.array([(2 * i + 1) / (2 * grid) for i in range(grid)])
+    xs = [(2 * i + 1) / (2 * grid) for i in range(grid)]
     u1_vals = u1.eval_float(xs)
     u3_vals = u3.eval_float(xs)
     total = F.integral(0.0, 1.0)
@@ -126,8 +125,9 @@ def two_term_residual_numeric(F, params: BetaParams, ks,
     lows, ups = [], []
     for k in ks:
         pk = pointwise_transfer_power(F, params, k, xs)
-        resid = pk - u1_vals * total - b ** (-k) * u3_vals * jump
-        sup = float(np.abs(resid).max())
+        bk = b ** (-k)
+        sup = max(abs(p - u * total - bk * v * jump)
+                  for p, u, v in zip(pk.tolist(), u1_vals, u3_vals))
         lows.append(sup)
         ups.append(sup)
     return ResidualSeries(ks=ks, residual_lower=lows, residual_upper=ups,
@@ -140,14 +140,13 @@ def hor13_reconstruction(F, params: BetaParams, M: int, N: int,
 
     Returns (sup_error, C) where sup_error is the grid sup of
     |F - expansion| and C = sup_error / (beta^-MN * sup|F^(N)|)."""
-    import numpy as np
     if M > 8:
         raise ValueError("M must be <= 8")
     gaps = refine_to_level(params, M).gaps
     expansions = [eb_expand(F, g.value, g.right_endpoint(), N) for g in gaps]
     xs = [(2 * i + 1) / (2 * grid) for i in range(grid)]
-    idx = np.searchsorted([float(g.value) for g in gaps], xs, side="right") - 1
-    worst = max(abs(F(x) - expansions[i].reconstruct(x)) for x, i in zip(xs, idx))
+    lefts = [float(g.value) for g in gaps]
+    worst = max(abs(F(x) - expansions[bisect_right(lefts, x) - 1].reconstruct(x)) for x in xs)
     dN = F.nth_derivative(N)
     sup_dn = max(abs(dN(x)) for x in xs)
     denom = params.beta_float() ** (-M * N) * sup_dn

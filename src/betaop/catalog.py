@@ -10,10 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
-from .field import BetaParams, QuadNum
-from .piecewise import PiecewisePoly, Polynomial
+from .field import BetaParams
+from .piecewise import PiecewisePoly, Polynomial, horner
 
 
 @dataclass
@@ -63,16 +64,6 @@ class SmoothFunction:
         return self.piecewise_factory(params)
 
 
-def _horner(cs) -> Callable:
-    """x -> sum_i cs[i] x^i, coefficients ascending."""
-    def f(x):
-        acc = 0 * x
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-    return f
-
-
 def _poly_smooth(name: str, coeffs: list[Fraction]) -> SmoothFunction:
     """Polynomial entry; derivative formulas are exact coefficient shifts."""
     def deriv_coeffs(order: int) -> list[Fraction]:
@@ -82,13 +73,13 @@ def _poly_smooth(name: str, coeffs: list[Fraction]) -> SmoothFunction:
         return cs
 
     def make_eval(cs):
-        return _horner([float(c) for c in cs] or [0.0])
+        return partial(horner, [float(c) for c in cs])
 
     def make_mp_eval(cs):
         # integers over one denominator: mpf arithmetic at working precision
         den = math.lcm(*(c.denominator for c in cs))
-        f = _horner([int(c * den) for c in cs])
-        return lambda x: f(x) / den
+        ints = [int(c * den) for c in cs]
+        return lambda x: horner(ints, x) / den
 
     anti = [Fraction(0)] + [c / (n + 1) for n, c in enumerate(coeffs)]
 

@@ -61,8 +61,7 @@ def _write_output(args, text: str, elapsed: float, extra: dict) -> None:
 
 
 def _manifest(args, elapsed: float, extra: dict) -> dict:
-    import mpmath
-    import numpy as np
+    from importlib.metadata import version
     doc = {
         "schema": 1,
         "command": args.command,
@@ -71,8 +70,8 @@ def _manifest(args, elapsed: float, extra: dict) -> dict:
         "versions": {
             "betaop": __version__,
             "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "mpmath": mpmath.__version__,
+            "numpy": version("numpy"),
+            "mpmath": version("mpmath"),
         },
         "elapsed_seconds": elapsed,
     }
@@ -170,8 +169,12 @@ def cmd_iterate(args):
     if args.out == "json":
         text = _json(g.to_json_dict())
     else:
-        import numpy as np
-        xs = np.linspace(0.0, 1.0, args.grid)
+        if args.grid < 0:
+            raise ValueError("--grid must be >= 0, got %d" % args.grid)
+        step = 1.0 / max(args.grid - 1, 1)  # as np.linspace: i*step, the last point 1
+        xs = [i * step for i in range(args.grid)]
+        if args.grid > 1:
+            xs[-1] = 1.0
         text = _csv([("x", "value")] + [(_dec(x), _dec(v))
                                         for x, v in zip(xs, g.eval_float(xs))])
     return text, {"pieces": len(g.pieces)}, EXIT_PASS

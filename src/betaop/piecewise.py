@@ -8,6 +8,7 @@ piece at x=1), which is consistent with almost-everywhere identities.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
@@ -105,8 +106,7 @@ class Polynomial:
         return Polynomial(affine_horner(self.coeffs, scale, shift, factor), self.params)
 
     def float_coeffs(self) -> list[float]:
-        # descending order for np.polyval
-        return [float(c) for c in reversed(self.coeffs)] or [0.0]
+        return [float(c) for c in self.coeffs]
 
     def __repr__(self):
         return "Polynomial([%s])" % ", ".join(c.to_string() for c in self.coeffs)
@@ -124,12 +124,18 @@ def _merged(bps: Sequence[QuadNum], pcs: Sequence[Polynomial]):
     return mb, mp
 
 
+def horner(coeffs: Sequence, x):
+    """sum_i coeffs[i] * x**i (ascending coefficients) on floats, mpf or
+    arrays; a float result is rounded step by step as np.polyval rounds."""
+    acc = 0 * x
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 @lru_cache(maxsize=8)
-def _chebyshev_nodes(n: int):
-    import numpy as np
-    theta = np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
-    theta.setflags(write=False)
-    return theta
+def _chebyshev_nodes(n: int) -> tuple[float, ...]:
+    return tuple(math.cos(math.pi * (2 * i + 1) / (2 * n)) for i in range(n))
 
 
 class PiecewisePoly:
@@ -334,17 +340,12 @@ class PiecewisePoly:
 
     # -- numeric views ---------------------------------------------------------
 
-    def eval_float(self, xs):
+    def eval_float(self, xs) -> list[float]:
         """Evaluate at float points (right-limit convention, left at 1)."""
-        import numpy as np
-        bps = np.array([float(b) for b in self.breakpoints])
-        idx = np.clip(np.searchsorted(bps, xs, side="right") - 1, 0, len(self.pieces) - 1)
-        out = np.empty_like(np.asarray(xs, dtype=float))
-        for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if mask.any():
-                out[mask] = np.polyval(piece.float_coeffs(), np.asarray(xs)[mask])
-        return out
+        bps = [float(b) for b in self.breakpoints]
+        coeffs = [p.float_coeffs() for p in self.pieces]
+        n = len(self.pieces)
+        return [horner(coeffs[bisect_right(bps, x, 1, n) - 1], x) for x in map(float, xs)]
 
     def sup_norm_bracket(self, samples_per_piece: int = 32) -> tuple[float, float]:
         """Certified bracket (lower, upper) for the sup norm.
@@ -353,24 +354,22 @@ class PiecewisePoly:
         endpoint limits. Upper: lower + mean-value slack from a coefficient
         bound on |f'| times the largest sample gap.
         """
-        import numpy as np
         if samples_per_piece < 2:
             raise ValueError("samples_per_piece must be >= 2")
-        lower = 0.0
-        upper_slack = 0.0
+        lower = upper_slack = 0.0
         theta = _chebyshev_nodes(samples_per_piece)
         for a, b, p in zip(self.breakpoints, self.breakpoints[1:], self.pieces):
             if p.is_zero():
                 continue
             af, bf = float(a), float(b)
-            xs = np.sort(np.concatenate((
-                [af, bf], (af + bf) / 2 + (bf - af) / 2 * theta)))
-            vals = np.abs(np.polyval(p.float_coeffs(), xs))
-            piece_lower = float(vals.max())
-            dcoeffs = p.derivative().float_coeffs()
-            dbound = float(np.abs(dcoeffs).sum())  # valid since [a,b] in [0,1]
-            gap = float(np.diff(xs).max()) if len(xs) > 1 else bf - af
-            lower = max(lower, piece_lower)
+            mid, half = (af + bf) / 2, (bf - af) / 2
+            xs = sorted([af, bf] + [mid + half * t for t in theta])
+            coeffs = p.float_coeffs()
+            lower = max(lower, max(abs(horner(coeffs, x)) for x in xs))
+            dbound = 0.0  # sum of |f'| coefficients, top degree first: valid on [0,1]
+            for c in reversed(p.derivative().float_coeffs()):
+                dbound += abs(c)
+            gap = max(y - x for x, y in zip(xs, xs[1:]))
             upper_slack = max(upper_slack, dbound * gap / 2)
         return lower, lower + upper_slack
 
@@ -387,11 +386,19 @@ class PiecewisePoly:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PiecewisePoly":
+        """Inverse of to_json_dict; a document of another shape (a key
+        missing, a string where a list belongs) raises TypeError."""
+        def parse(value, what):
+            if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+                raise TypeError("%s must be a list of strings" % what)
+            return [quadnum_from_string(s, params) for s in value]
+
+        missing = [k for k in ("a0", "a1", "breakpoints", "pieces") if k not in doc]
+        if missing:
+            raise TypeError("missing key %r" % missing[0])
         params = BetaParams(doc["a0"], doc["a1"])
-        bps = [quadnum_from_string(s, params) for s in doc["breakpoints"]]
-        pcs = [Polynomial([quadnum_from_string(s, params) for s in cs], params)
-               for cs in doc["pieces"]]
-        return cls(params, bps, pcs)
+        pcs = [Polynomial(parse(cs, "each piece"), params) for cs in doc["pieces"]]
+        return cls(params, parse(doc["breakpoints"], "'breakpoints'"), pcs)
 
     def __repr__(self):
         return "PiecewisePoly(%d pieces on [0,1]; a0=%d, a1=%d)" % (

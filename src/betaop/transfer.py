@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .field import BetaParams, QuadNum
-from .piecewise import PiecewisePoly, Polynomial
+from .piecewise import PiecewisePoly
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -106,14 +106,14 @@ def pointwise_transfer_power(F, params: BetaParams, k: int, xs,
     origin = np.arange(len(pts))
     total_nodes = len(nodes)
     for _ in range(k):
-        full = [(nodes + j) / beta for j in range(params.a0)]
+        # size the next level before building it: a refused level is never allocated
         adm = nodes <= cut
-        top = (nodes[adm] + params.a0) / beta
-        nodes = np.concatenate(full + [top])
-        origin = np.concatenate([origin] * params.a0 + [origin[adm]])
-        total_nodes += len(nodes)
+        total_nodes += params.a0 * len(nodes) + int(np.count_nonzero(adm))
         if total_nodes > node_budget:
             raise BudgetExceeded("preimage tree exceeded %d nodes" % node_budget)
+        full = [(nodes + j) / beta for j in range(params.a0)]
+        nodes = np.concatenate(full + [(nodes[adm] + params.a0) / beta])
+        origin = np.concatenate([origin] * params.a0 + [origin[adm]])
     try:
         vals = np.asarray(F(nodes), dtype=float)
         if vals.shape != nodes.shape:

@@ -7,12 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from betaop import (BetaParams, BudgetExceeded, apply_transfer, builtin, chosen_level,
                     epsilon_of, fit_slope, hor13_reconstruction,
                     lemmaPk_decomposition_check,
                     make_psi_basis, make_u_tilde, two_term_residual_exact,
                     two_term_residual_numeric)
+from betaop.asymptotics import FIT_SKIP, NOISE_FLOOR_RATIO
 
 GOLDEN = BetaParams(1, 1)
 
@@ -144,9 +146,19 @@ def test_chosen_level():
     assert chosen_level(9, 8) == 3
 
 
+def numpy_slope(ks, values):
+    """np.polyfit over the points that fit_slope keeps; None if they are
+    fewer than two."""
+    ks, values = np.asarray(ks, dtype=float), np.asarray(values, dtype=float)
+    mask = (ks > FIT_SKIP) & (values > NOISE_FLOOR_RATIO * values[0]) & (values > 0)
+    if mask.sum() < 2:
+        return None
+    return float(np.polyfit(ks[mask], np.log(values[mask]), 1)[0])
+
+
 def iteration_digest(params, k_max=40):
     """SHA-256 over the exact iterates P^k F (k <= k_max, F cubic) and over
-    the floats of their two-term residual series."""
+    the bracket floats of their two-term residual series; also the series."""
     F = builtin("cubic").piecewise(params)
     h = hashlib.sha256()
     cur = F
@@ -154,19 +166,36 @@ def iteration_digest(params, k_max=40):
         cur = apply_transfer(cur)
         h.update(json.dumps(cur.to_json_dict(), sort_keys=True).encode())
     series = two_term_residual_exact(F, k_max)
-    floats = series.residual_lower + series.residual_upper + [series.fitted_slope]
+    floats = series.residual_lower + series.residual_upper
     h.update(" ".join(x.hex() for x in floats).encode())
-    return h.hexdigest()
+    return h.hexdigest(), series
 
 
 @pytest.mark.parametrize("a0, a1, digest", [
-    (1, 1, "db167a7b1b1de5c2cfb82e1a179814264ea835848b920e3e674ff7b23c148d8e"),
-    (5, 5, "b211f5757c9514eb1ee5e4408cc9e4a87ebc1772149e875d2b5655764e829c36"),
-])
+    (1, 1, "e7df8edab4ad60c5ba2eab4d3b764f73707eba4336c7842a1825d957b861dcc0"),
+    (5, 5, "0fe96e1c79fc4ddce3ebacdca5d9eb87f71a347059c69297b9f1c48bcfc8b939"),
+], ids=["1-1", "5-5"])
 def test_iterates_and_residuals_are_bit_identical(a0, a1, digest):
-    # digests of the iterates and residual floats as computed before the
-    # integer-pair Horner; any changed bit of a result changes them
-    assert iteration_digest(BetaParams(a0, a1)) == digest
+    # digests of the iterates and bracket floats as computed with the numpy
+    # brackets; any changed bit of a result changes them. The fitted slope is
+    # a least-squares fit, checked against np.polyfit to rounding instead.
+    got, series = iteration_digest(BetaParams(a0, a1))
+    assert got == digest
+    assert series.fitted_slope == pytest.approx(
+        numpy_slope(series.ks, series.residual_upper), rel=1e-12)
+
+
+@given(st.lists(st.floats(-5, 5), min_size=2, max_size=60), st.floats(-3, 0),
+       st.integers(0, 10))
+def test_fit_slope_matches_polyfit(noise, slope, start):
+    ks = list(range(start, start + len(noise)))
+    values = [math.exp(slope * k + 0.01 * e) for k, e in zip(ks, noise)]
+    want = numpy_slope(ks, values)
+    if want is None:
+        with pytest.raises(ValueError, match="not enough usable points"):
+            fit_slope(ks, values)
+    else:
+        assert fit_slope(ks, values) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_fit_slope_needs_two_points():

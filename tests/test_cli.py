@@ -75,6 +75,17 @@ def test_iterate_csv_grid(capsys):
     assert float(rows[1][0]) == 0.0 and float(rows[-1][0]) == 1.0
 
 
+def test_iterate_csv_grid_edges(capsys):
+    # the points of np.linspace(0, 1, grid): a one-point grid is [0]
+    argv = ["iterate", "--a0", "2", "--a1", "1", "--F", "quadratic", "--k", "2"]
+    for grid, xs in ((0, []), (1, ["0"]), (2, ["0", "1"]), (3, ["0", "0.5", "1"])):
+        assert run([*argv, "--grid", str(grid)]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[0] == ["x", "value"] and [r[0] for r in rows[1:]] == xs
+    assert run([*argv, "--grid", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --grid must be >= 0, got -1\n"
+
+
 def test_output_file_and_manifest(tmp_path):
     target = tmp_path / "series.csv"
     assert run(["asymptotics", "--a0", "1", "--a1", "1", "--F", "linear",
@@ -186,13 +197,17 @@ def test_package_import_loads_no_numeric_package(statement):
     (["iterate", "--a0", "1", "--a1", "1", "--F", "cubic", "--k", "6", "--out", "json"], []),
     (["partition-dump", "--a0", "2", "--a1", "1", "--M", "4", "--out", "json"], []),
     (["bernoulli-table", "--n-max", "10"], []),
-    (["asymptotics", "--a0", "1", "--a1", "1", "--F", "linear", "--k-max", "14"], ["numpy"]),
+    (["asymptotics", "--a0", "1", "--a1", "1", "--F", "linear", "--k-max", "14"], []),
     *[(["asymptotics", "--a0", "1", "--a1", "1", "--F", F, "--k-max", "12",
         "--engine", "numeric"], ["numpy"]) for F in ("exp-normalized", "sin", "cubic")],
     (["integer-base", "--q", "2", "--N", "3", "--F", "sin", "--k-min", "6",
-      "--k-max", "12"], ["mpmath", "numpy"]),
+      "--k-max", "12"], ["mpmath"]),
+    # the manifest reads package versions from metadata, importing neither
+    (["asymptotics", "--a0", "1", "--a1", "1", "--F", "linear", "--k-max", "14",
+      "--output", "{tmp}/series.csv"], []),
 ])
-def test_command_imports_only_what_it_uses(argv, packages):
+def test_command_imports_only_what_it_uses(tmp_path, argv, packages):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     statement = ("from betaop.cli import main\n"
                  "with contextlib.redirect_stdout(io.StringIO()):\n"
                  "    assert main(%r) == 0" % argv)
@@ -251,19 +266,28 @@ def test_piecewise_json_field_mismatch_is_a_usage_error(tmp_path, capsys, argv):
     assert run([cmd, "--a0", "1", "--a1", "1", "--piecewise-json", path, *rest]) == 0
 
 
-@pytest.mark.parametrize("doc", [
-    [],
-    {"a0": "x", "a1": 1, "breakpoints": ["0", "1"], "pieces": [["1"]]},
-    {"a0": 1, "a1": 1, "breakpoints": ["0", "1"], "pieces": [[1]]},
-], ids=["list", "a0-string", "number-coefficient"])
-def test_malformed_piecewise_json_is_a_usage_error(tmp_path, capsys, doc):
+@pytest.mark.parametrize("doc, detail", [
+    ([], "missing key 'a0'"),
+    ({"a0": "x", "a1": 1, "breakpoints": ["0", "1"], "pieces": [["1"]]},
+     "a0 and a1 must be integers"),
+    ({"a0": 1, "a1": 1, "breakpoints": ["0", "1"], "pieces": [[1]]},
+     "each piece must be a list of strings"),
+    # a missing key used to print only the key; a string was read by character
+    ({"a0": 1, "a1": 1}, "missing key 'breakpoints'"),
+    ({"a0": 1, "a1": 1, "breakpoints": "01", "pieces": [["1"]]},
+     "'breakpoints' must be a list of strings"),
+    ({"a0": 1, "a1": 1, "breakpoints": ["0", "1"], "pieces": "1"},
+     "each piece must be a list of strings"),
+], ids=["list", "a0-string", "number-coefficient", "no-breakpoints",
+        "string-breakpoints", "string-pieces"])
+def test_malformed_piecewise_json_is_a_usage_error(tmp_path, capsys, doc, detail):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(doc))
     assert run(["iterate", "--a0", "1", "--a1", "1", "--piecewise-json", str(path),
                 "--out", "json"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
-    assert "malformed" in captured.err and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert captured.err == "error: --piecewise-json %s is malformed: %s\n" % (path, detail)
 
 
 @pytest.mark.parametrize("argv", [

@@ -133,7 +133,7 @@ def test_compose_affine_jacobian_on_indicators():
         shift = binv * rng.randint(0, 2) * Fraction(1, 2)
         pulled = ind.compose_affine(binv, shift)
         xs = np.linspace(0, 1, 20001)
-        approx = pulled.eval_float(xs).mean()
+        approx = np.asarray(pulled.eval_float(xs)).mean()
         assert abs(float(pulled.integrate()) - approx) < 2e-3
 
 
@@ -369,3 +369,71 @@ def test_on_interval_of_zero_polynomial_is_canonical_zero():
     for a, b in ((binv, binv * 2), (params.zero(), binv), (binv, params.one())):
         f = PiecewisePoly.on_interval(Polynomial.zero(params), a, b)
         assert f.breakpoints == zero.breakpoints and f.pieces == zero.pieces
+
+
+# -- float views against the numpy code they replaced ------------------------------
+
+
+def numpy_eval_float(f, xs):
+    """PiecewisePoly.eval_float as it was written with numpy."""
+    bps = np.array([float(b) for b in f.breakpoints])
+    idx = np.clip(np.searchsorted(bps, xs, side="right") - 1, 0, len(f.pieces) - 1)
+    out = np.empty_like(np.asarray(xs, dtype=float))
+    for i, piece in enumerate(f.pieces):
+        mask = idx == i
+        if mask.any():
+            descending = [float(c) for c in reversed(piece.coeffs)] or [0.0]
+            out[mask] = np.polyval(descending, np.asarray(xs)[mask])
+    return out
+
+
+def numpy_sup_norm_bracket(f, samples_per_piece):
+    """PiecewisePoly.sup_norm_bracket as it was written with numpy. The two
+    agree bit for bit up to degree 7: np.sum adds fewer than eight |f'|
+    coefficients in order, but eight or more pairwise, so from degree 8 on
+    the upper bound may differ in the last bits."""
+    n = samples_per_piece
+    theta = np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
+    lower = 0.0
+    upper_slack = 0.0
+    for a, b, p in zip(f.breakpoints, f.breakpoints[1:], f.pieces):
+        if p.is_zero():
+            continue
+        af, bf = float(a), float(b)
+        xs = np.sort(np.concatenate((
+            [af, bf], (af + bf) / 2 + (bf - af) / 2 * theta)))
+        vals = np.abs(np.polyval([float(c) for c in reversed(p.coeffs)], xs))
+        piece_lower = float(vals.max())
+        dcoeffs = [float(c) for c in reversed(p.derivative().coeffs)] or [0.0]
+        dbound = float(np.abs(dcoeffs).sum())
+        gap = float(np.diff(xs).max())
+        lower = max(lower, piece_lower)
+        upper_slack = max(upper_slack, dbound * gap / 2)
+    return lower, lower + upper_slack
+
+
+@st.composite
+def float_view_cases(draw):
+    """Up to five pieces of degree <= 7, small or 400-bit coefficients."""
+    params = draw(st.sampled_from(ALL_PARAMS_5))
+    pool = ([params.rational(Fraction(i, 8)) for i in range(1, 8)]
+            + [params.power(-1) * j for j in range(1, params.a0 + 1)])
+    cuts = sorted(set(draw(st.lists(st.sampled_from(pool), max_size=4))), key=float)
+    coeff = st.one_of(quadnums(params, 50), big_quadnums(params))
+    poly = st.one_of(st.just(()), st.lists(coeff, min_size=1, max_size=8))
+    pcs = [Polynomial(draw(poly), params) for _ in range(len(cuts) + 1)]
+    return PiecewisePoly(params, [params.zero()] + cuts + [params.one()], pcs)
+
+
+@settings(deadline=None, max_examples=150)
+@given(float_view_cases(), st.sampled_from([2, 3, 8, 32, 33, 128]))
+def test_sup_norm_bracket_is_bit_equal_to_the_numpy_bracket(f, samples):
+    assert f.sup_norm_bracket(samples) == numpy_sup_norm_bracket(f, samples)
+
+
+@settings(deadline=None, max_examples=150)
+@given(float_view_cases(), st.lists(st.floats(0, 1), max_size=20))
+def test_eval_float_is_bit_equal_to_polyval(f, xs):
+    xs = xs + [0.0, 1.0] + [float(b) for b in f.breakpoints]
+    assert f.eval_float(xs) == numpy_eval_float(f, xs).tolist()
+    assert f.eval_float(np.array(xs)) == numpy_eval_float(f, xs).tolist()

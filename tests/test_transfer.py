@@ -2,6 +2,7 @@
 pointwise preimage engine, greedy digit expansions."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -65,7 +66,7 @@ def test_positivity_and_domination():
         g = apply_transfer(f)
         # |P f| <= P |f| is hard exactly; check positivity preservation:
         sq = f * f
-        vals = apply_transfer(sq).eval_float(xs)
+        vals = np.asarray(apply_transfer(sq).eval_float(xs))
         assert vals.min() > -1e-12
 
 
@@ -178,6 +179,23 @@ def test_pointwise_budget():
     with pytest.raises(BudgetExceeded):
         pointwise_transfer_power(F, BetaParams(5, 5), 20,
                                  np.linspace(0, 1, 101), node_budget=10 ** 4)
+
+
+def test_pointwise_budget_refuses_a_level_before_building_it():
+    # (3,1) on these 101 points: levels 0..7 of the tree hold 622,425 nodes,
+    # level 7 alone 434,002
+    params, F = BetaParams(3, 1), builtin("linear")
+    xs = [i / 100 for i in range(101)]
+    pointwise_transfer_power(F, params, 7, xs, node_budget=622425)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            pointwise_transfer_power(F, params, 7, xs, node_budget=622424)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # building level 7 takes at least two float64 arrays of its size
+    assert peak < 16 * 434002
 
 
 def test_greedy_examples():
