@@ -70,8 +70,8 @@ def epsilon_of(params: BetaParams, N: int) -> TheoremParams:
 
 def two_term_residual_exact(F: PiecewisePoly, k_max: int, terms: int = 2,
                             piece_budget: int = 10 ** 6) -> ResidualSeries:
-    """Certified sup-norm brackets of P^k F minus its expansion, exact engine,
-    for k = 1..k_max.
+    """Float sup-norm brackets of P^k F minus its expansion (exact engine, but
+    the bracket is not certified: ROADMAP.md item 1), for k = 1..k_max.
 
     terms=2 subtracts u1*integral(F) and beta^-k * u3 * (F(1)-F(0))/4;
     terms=1 subtracts only the invariant part."""

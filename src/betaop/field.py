@@ -288,25 +288,9 @@ class QuadNum:
         return (r + (root if self.b > 0 else -root - 1)) // (2 * self.d)
 
     def __float__(self) -> float:
-        """The value as a float. Like float() of a large int, raises
-        OverflowError when it lies beyond the float range; to_decimal
-        works at any size."""
-        # Evaluate (r + b*sqrt(D))/(2d), r = 2a + a0*b, with an interval around
-        # sqrt(D) that is narrowed until the result is correct to ~2^-60
-        # relative error; the naive a/d + (b/d)*beta cancels catastrophically
-        # when a and b are large with opposite signs.
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return a / d
-        r = 2 * a + self.params.a0 * b
-        D = self.params.disc
-        m = 64
-        while True:
-            # sqrt(D) within 2^-m, so n / 2^m is within |b| / 2^m of r + b*sqrt(D)
-            n = (r << m) + b * _scaled_isqrt(D, m)
-            if abs(n) > abs(b) << 60:
-                return n / ((2 * d) << m)  # int / int rounds correctly
-            m *= 2
+        """The value as a float; beyond the float range it raises OverflowError,
+        as float() of a large int does (to_decimal works at any size)."""
+        return quad_float(self.a, self.b, self.d, self.params)
 
     def to_decimal(self, digits: int) -> str:
         """Correctly rounded decimal string with `digits` digits after the point."""
@@ -336,24 +320,41 @@ class QuadNum:
         return "%s%s%s" % (self.p, op, qs)
 
 
-def affine_horner(coeffs, scale: QuadNum, shift: QuadNum,
-                  factor: QuadNum | None = None) -> list:
-    """Coefficients (ascending) of x -> factor * sum_i c_i (scale*x + shift)^i,
-    factor 1 when None.
+def quad_float(a: int, b: int, d: int, params: BetaParams) -> float:
+    """(a + b*beta)/d as a float for any d > 0; (ga, gb, gd) gives the same
+    float, as n and the divisor below both scale by g."""
+    # (r + b*sqrt(D))/(2d), r = 2a + a0*b, with sqrt(D) in an interval narrowed until
+    # ~2^-60 relative error; a/d + (b/d)*beta cancels when a, b are large and opposite.
+    if b == 0:
+        return a / d
+    r = 2 * a + params.a0 * b
+    D = params.disc
+    m = 64
+    while True:
+        # sqrt(D) within 2^-m, so n / 2^m is within |b| / 2^m of r + b*sqrt(D)
+        n = (r << m) + b * _scaled_isqrt(D, m)
+        if abs(n) > abs(b) << 60:
+            return n / ((2 * d) << m)  # int / int rounds correctly
+        m *= 2
 
-    Horner on integer pairs u + v*beta over one denominator: with L the lcm
-    of the coefficient denominators and E = lcm(d_scale, d_shift), it is
-    sum_i L c_i E^(n-i) (E shift + E scale x)^i / (L E^n); each output pair
-    is multiplied by the factor's pair and normalised once."""
+
+def affine_horner(num, den: int, scale: QuadNum, shift: QuadNum,
+                  factor: QuadNum | None = None) -> tuple[list, int]:
+    """Integer pairs and denominator, not reduced, of the polynomial
+    x -> factor * sum_i c_i (scale*x + shift)^i with c_i = (u_i + v_i beta)/den
+    for (u_i, v_i) = num[i] (ascending, num not empty), factor 1 when None.
+
+    Horner on integer pairs over one denominator: with E = lcm(d_scale,
+    d_shift), it is sum_i (u_i + v_i beta) E^(n-i) (E shift + E scale x)^i
+    / (den E^n); the output pairs are multiplied by the factor's pair."""
     params = scale.params
     a0, a1 = params.a0, params.a1
-    L = math.lcm(*(c.d for c in coeffs))
     E = math.lcm(scale.d, shift.d)
     sa, sb = scale.a * (E // scale.d), scale.b * (E // scale.d)
     ha, hb = shift.a * (E // shift.d), shift.b * (E // shift.d)
     acc, w = [], 1  # w = E^(n-i) at coefficient i
-    for c in reversed(coeffs):
-        # acc <- acc*(H + S x) + L c_i E^(n-i), with beta^2 = a0 beta + a1
+    for cu, cv in reversed(num):
+        # acc <- acc*(H + S x) + (cu + cv beta) E^(n-i), with beta^2 = a0 beta + a1
         out, pu, pv = [], 0, 0  # (pu, pv): the previous entry times S
         for u, v in acc:
             cross = v * hb
@@ -361,14 +362,13 @@ def affine_horner(coeffs, scale: QuadNum, shift: QuadNum,
             cross = v * sb
             pu, pv = u * sa + cross * a1, u * sb + v * sa + cross * a0
         out.append((pu, pv))
-        m = L // c.d * w
-        out[0] = (out[0][0] + c.a * m, out[0][1] + c.b * m)
+        out[0] = (out[0][0] + cu * w, out[0][1] + cv * w)
         acc, w = out, w * E
-    den = L * (w // E)
+    den *= w // E
     if factor is not None:
         fa, fb, den = factor.a, factor.b, den * factor.d
         acc = [(u * fa + v * fb * a1, u * fb + v * fa + v * fb * a0) for u, v in acc]
-    return [_make(u, v, den, params) for u, v in acc]
+    return acc, den
 
 
 def quadnum_from_string(text: str, params: BetaParams) -> QuadNum:

@@ -11,32 +11,45 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain, zip_longest
 from typing import Iterable, Sequence
 
-from .field import BetaParams, QuadNum, affine_horner, quadnum_from_string
+from .field import BetaParams, QuadNum, _make, affine_horner, quad_float, quadnum_from_string
 
 DEGREE_CAP = 64
 
 
 class Polynomial:
-    """Dense polynomial over Q(beta), coefficients in ascending degree."""
+    """Dense polynomial over Q(beta), stored like FLINT's fmpq_poly: coefficient
+    i is (u_i + v_i beta)/den for (u_i, v_i) = num[i], with den > 0, gcd(den, all
+    u_i, v_i) = 1 and no trailing (0, 0). The form is unique, so == and hash compare
+    it and the field. `.coeffs` is a read-only QuadNum view, built on first use."""
 
-    __slots__ = ("coeffs", "params")
+    __slots__ = ("num", "den", "params", "_coeffs")
 
     def __init__(self, coeffs: Sequence[QuadNum], params: BetaParams):
-        # trim trailing zeros so the zero polynomial is the empty tuple
         cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        if len(cs) > DEGREE_CAP + 1:
-            raise ValueError("polynomial degree %d exceeds cap %d" % (len(cs) - 1, DEGREE_CAP))
-        self.coeffs = tuple(cs)
-        self.params = params
+        den = math.lcm(*(c.d for c in cs))
+        self._reduce([(c.a * (den // c.d), c.b * (den // c.d)) for c in cs], den, params)
+
+    def _reduce(self, num: list, den: int, params: BetaParams) -> "Polynomial":
+        """Set the canonical form of num over den > 0: trim, then one gcd."""
+        while num and num[-1] == (0, 0):
+            num.pop()
+        if len(num) > DEGREE_CAP + 1:
+            raise ValueError("polynomial degree %d exceeds cap %d" % (len(num) - 1, DEGREE_CAP))
+        g = math.gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            den //= g
+            num = [(u // g, v // g) for u, v in num]
+        self.num, self.den, self.params, self._coeffs = tuple(num), den, params, None
+        return self
 
     @classmethod
+    @lru_cache(maxsize=None)
     def zero(cls, params: BetaParams) -> "Polynomial":
-        return cls((), params)
+        return cls((), params)  # shared, as every Polynomial is immutable
 
     @classmethod
     def constant(cls, value: QuadNum) -> "Polynomial":
@@ -47,69 +60,81 @@ class Polynomial:
         return cls([QuadNum(Fraction(c), 0, params) for c in coeffs], params)
 
     @property
+    def coeffs(self) -> tuple[QuadNum, ...]:
+        if self._coeffs is None:
+            self._coeffs = tuple(_make(u, v, self.den, self.params) for u, v in self.num)
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.num) - 1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return (isinstance(other, Polynomial) and self.num == other.num
+                and self.den == other.den and self.params == other.params)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den, self.params))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(out, self.params)
+        if other.params is not self.params and other.params != self.params:
+            raise ValueError("adding polynomials over different fields")
+        d, od, g = self.den, other.den, math.gcd(self.den, other.den)
+        m, om = od // g, d // g  # d * m = od * om = lcm(d, od)
+        return _new()._reduce([(u * m + x * om, v * m + y * om) for (u, v), (x, y)
+                               in zip_longest(self.num, other.num, fillvalue=(0, 0))],
+                              d * m, self.params)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scaled(QuadNum(-1, 0, self.params))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero(self.params)
-        zero = QuadNum(0, 0, self.params)
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [self.params.zero()] * (len(self.num) + len(other.num) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return Polynomial(out, self.params)
 
-    def scaled(self, factor: QuadNum) -> "Polynomial":
-        return Polynomial([c * factor for c in self.coeffs], self.params)
+    def scaled(self, factor) -> "Polynomial":
+        if not isinstance(factor, QuadNum) or factor.params != self.params:
+            factor = self.params.one() * factor  # an int or Fraction, or the field error
+        fa, fb, a0, a1 = factor.a, factor.b, self.params.a0, self.params.a1
+        return _new()._reduce([(u * fa + v * fb * a1, u * fb + v * fa + v * fb * a0)
+                               for u, v in self.num], self.den * factor.d, self.params)
 
     def eval(self, x: QuadNum) -> QuadNum:
-        acc = QuadNum(0, 0, self.params)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([c * n for n, c in enumerate(self.coeffs)][1:], self.params)
+        return _new()._reduce([(n * u, n * v) for n, (u, v) in enumerate(self.num)][1:],
+                              self.den, self.params)
 
     def antiderivative(self) -> "Polynomial":
-        zero = QuadNum(0, 0, self.params)
-        return Polynomial([zero] + [c * Fraction(1, n + 1) for n, c in enumerate(self.coeffs)],
-                          self.params)
+        L = math.lcm(*range(1, len(self.num) + 1))
+        return _new()._reduce([(0, 0)] + [(u * (L // n), v * (L // n))
+                                          for n, (u, v) in enumerate(self.num, 1)],
+                              self.den * L, self.params)
 
     def compose_affine(self, scale: QuadNum, shift: QuadNum,
                        factor: QuadNum | None = None) -> "Polynomial":
         """The polynomial x -> factor * p(scale*x + shift), factor 1 when None."""
-        if not self.coeffs:
+        if not self.num:
             return self
-        return Polynomial(affine_horner(self.coeffs, scale, shift, factor), self.params)
+        return _new()._reduce(*affine_horner(self.num, self.den, scale, shift, factor),
+                              self.params)
 
     def float_coeffs(self) -> list[float]:
-        return [float(c) for c in self.coeffs]
+        """[float(c) for c in self.coeffs] bit for bit, without building them."""
+        return [quad_float(u, v, self.den, self.params) for u, v in self.num]
 
     def __repr__(self):
         return "Polynomial([%s])" % ", ".join(c.to_string() for c in self.coeffs)
+
+
+_new = partial(object.__new__, Polynomial)  # an empty instance for _reduce to fill
 
 
 def _merged(bps: Sequence[QuadNum], pcs: Sequence[Polynomial]):
@@ -262,10 +287,8 @@ class PiecewisePoly:
         return PiecewisePoly._trusted(self.params, *_merged(bps, pcs))
 
     def scaled(self, factor) -> "PiecewisePoly":
-        if isinstance(factor, (int, Fraction)):
-            factor = QuadNum(factor, 0, self.params)
         pcs = [p.scaled(factor) for p in self.pieces]
-        if factor.is_zero():
+        if factor == 0:
             return PiecewisePoly._trusted(self.params, *_merged(self.breakpoints, pcs))
         # a non-zero factor keeps adjacent pieces distinct
         return PiecewisePoly._trusted(self.params, self.breakpoints, pcs)
@@ -348,12 +371,9 @@ class PiecewisePoly:
         return [horner(coeffs[bisect_right(bps, x, 1, n) - 1], x) for x in map(float, xs)]
 
     def sup_norm_bracket(self, samples_per_piece: int = 32) -> tuple[float, float]:
-        """Certified bracket (lower, upper) for the sup norm.
-
-        Lower: max |f| over per-piece Chebyshev samples plus one-sided
-        endpoint limits. Upper: lower + mean-value slack from a coefficient
-        bound on |f'| times the largest sample gap.
-        """
+        """Float bracket (lower, upper) for the sup norm: max |f| over Chebyshev
+        samples and endpoint limits per piece, plus a bound on |f'| times half the
+        largest sample gap. Not certified: rounding is unaccounted (ROADMAP.md item 1)."""
         if samples_per_piece < 2:
             raise ValueError("samples_per_piece must be >= 2")
         lower = upper_slack = 0.0

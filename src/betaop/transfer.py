@@ -72,7 +72,7 @@ def apply_integer_transfer(f: PiecewisePoly, q: int) -> PiecewisePoly:
     params = f.params
     if not all(b.is_rational() for b in f.breakpoints):
         raise ValueError("integer-base operator needs rational breakpoints")
-    if not all(c.is_rational() for p in f.pieces for c in p.coeffs):
+    if any(v for p in f.pieces for _, v in p.num):
         raise ValueError("integer-base operator needs rational coefficients")
     qinv = params.rational(Fraction(1, q))
     shifts = (params.rational(Fraction(j, q)) for j in range(q))
@@ -108,12 +108,20 @@ def pointwise_transfer_power(F, params: BetaParams, k: int, xs,
     for _ in range(k):
         # size the next level before building it: a refused level is never allocated
         adm = nodes <= cut
-        total_nodes += params.a0 * len(nodes) + int(np.count_nonzero(adm))
+        n, size = len(nodes), params.a0 * len(nodes) + int(np.count_nonzero(adm))
+        total_nodes += size
         if total_nodes > node_budget:
             raise BudgetExceeded("preimage tree exceeded %d nodes" % node_budget)
-        full = [(nodes + j) / beta for j in range(params.a0)]
-        nodes = np.concatenate(full + [(nodes[adm] + params.a0) / beta])
-        origin = np.concatenate([origin] * params.a0 + [origin[adm]])
+        level = np.empty(size)  # branch j = 0..a0 fills its slice with (x + j) / beta
+        head = level[:params.a0 * n].reshape(params.a0, n)  # row j is branch j
+        np.add(nodes, np.arange(params.a0)[:, None], out=head)
+        top = np.compress(adm, nodes, out=level[params.a0 * n:])
+        np.add(top, params.a0, out=top)
+        nodes = np.divide(level, beta, out=level)  # drops the previous level
+        level = np.empty(size, dtype=origin.dtype)
+        level[:params.a0 * n].reshape(params.a0, n)[:] = origin
+        origin = level  # drops the previous level; its copy is origin[:n]
+        np.compress(adm, origin[:n], out=origin[params.a0 * n:])
     try:
         vals = np.asarray(F(nodes), dtype=float)
         if vals.shape != nodes.shape:

@@ -216,6 +216,13 @@ def test_constant_residual_zero():
         assert integer_base_expansion_residual(F, q, k, N, 21) < 1e-14
 
 
+@pytest.mark.parametrize("grid", [0, -3])
+def test_residual_over_an_empty_grid_is_refused(grid):
+    # the sup over no points is no bound at all, so it is not returned as 0.0
+    with pytest.raises(ValueError, match="grid must be >= 1, got %d" % grid):
+        integer_base_expansion_residual(builtin("sin"), 2, 6, 3, grid)
+
+
 def test_polynomial_residuals_are_exact_at_working_precision():
     # the expansion of a polynomial ends, so the residual is exactly 0; a
     # double-precision evaluation of F would leave about 2e-16

@@ -303,6 +303,13 @@ def test_empty_k_range_is_a_usage_error(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+def test_integer_base_on_an_empty_grid_is_a_usage_error(capsys):
+    assert run(["integer-base", "--k-min", "6", "--k-max", "8", "--grid", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid must be >= 1, got 0\n"
+
+
 def test_float_overflow_is_a_usage_error(tmp_path, capsys):
     # a constant beyond the float range: fine as exact JSON, not on a float grid
     big = Polynomial([GOLDEN.beta() ** 3000], GOLDEN)

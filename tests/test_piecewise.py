@@ -2,6 +2,7 @@
 affine pullbacks, exact integration, sup-norm brackets, serialization."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from betaop import (BetaParams, PiecewisePoly, Polynomial, QuadNum, combine,
-                    make_psi_basis, make_u_tilde)
+from betaop import (BetaParams, PiecewisePoly, Polynomial, QuadNum, apply_integer_transfer,
+                    apply_transfer, combine, make_psi_basis, make_u_tilde)
 
 GOLDEN = BetaParams(1, 1)
 ALL_PARAMS_5 = [BetaParams(a0, a1) for a0 in range(1, 6)
@@ -336,6 +337,107 @@ def test_integer_pair_horner_matches_quadnum_horner(args):
         == horner_oracle(p, scale, shift).scaled(factor)
     assert p.compose_affine(params.power(-1), params.power(-1) * params.a0) \
         == horner_oracle(p, params.power(-1), params.power(-1) * params.a0)
+
+
+# -- the integer-pair layout of Polynomial ---------------------------------------
+
+
+def is_canonical(p):
+    """(u_i + v_i beta)/den with den > 0, gcd(den, all entries) = 1 and no
+    trailing (0, 0) pair."""
+    return (type(p.num) is tuple and all(type(pair) is tuple for pair in p.num)
+            and p.den > 0 and math.gcd(p.den, *(x for pair in p.num for x in pair)) == 1
+            and (not p.num or p.num[-1] != (0, 0)))
+
+
+def layout_polys(params):
+    """Small coefficients, so that equal polynomials turn up, or 400-bit ones."""
+    coeff = st.one_of(quadnums(params, 3), big_quadnums(params), st.just(params.zero()))
+    return st.lists(coeff, max_size=5).map(lambda cs: Polynomial(cs, params))
+
+
+@st.composite
+def layout_cases(draw):
+    params = draw(st.sampled_from(ALL_PARAMS_5))
+    p, q = draw(layout_polys(params)), draw(layout_polys(params))
+    scale = draw(big_quadnums(params).filter(lambda x: x.sign() > 0))
+    return params, p, q, scale, draw(big_quadnums(params)), draw(big_quadnums(params))
+
+
+@settings(deadline=None, max_examples=150)
+@given(layout_cases())
+def test_every_polynomial_result_is_canonical(case):
+    params, p, q, scale, shift, factor = case
+    results = [p, q, p + q, p - p, p.scaled(factor), p.scaled(params.zero()),
+               p.derivative(), p.compose_affine(scale, shift),
+               p.compose_affine(scale, shift, factor)]
+    assert all(is_canonical(r) for r in results)
+    assert (p - p).is_zero() and (p - p).den == 1
+
+
+@settings(deadline=None, max_examples=150)
+@given(layout_cases())
+def test_polynomial_equality_is_equality_of_coefficients(case):
+    params, p, q, _, _, factor = case
+    for a, b in ((p, q), (p, (p + q) - q), (p, Polynomial(p.coeffs, params)),
+                 (p.scaled(factor), Polynomial([c * factor for c in p.coeffs], params))):
+        assert (a == b) == (a.coeffs == b.coeffs)
+        if a == b:
+            assert hash(a) == hash(b)
+    assert p == (p + q) - q
+
+
+@settings(deadline=None, max_examples=150)
+@given(layout_cases())
+def test_float_coeffs_are_bit_equal_to_the_quadnum_floats(case):
+    _, p, q, scale, shift, _ = case
+    for r in (p, p + q, p.compose_affine(scale, shift)):
+        try:
+            expected = [float(c) for c in r.coeffs]
+        except OverflowError:  # a coefficient beyond the float range
+            with pytest.raises(OverflowError):
+                r.float_coeffs()
+        else:
+            assert r.float_coeffs() == expected
+
+
+def test_coeffs_is_a_read_only_view_built_on_demand():
+    params = BetaParams(2, 1)
+    p = Polynomial([QuadNum(Fraction(1, 2), 3, params), QuadNum(0, Fraction(1, 6), params)],
+                   params)
+    assert p.num == ((3, 18), (0, 1)) and p.den == 6
+    with pytest.raises(AttributeError):
+        p.coeffs = ()
+    f = PiecewisePoly.from_polynomial(p)
+    g = apply_transfer(f)
+    assert all(piece._coeffs is None for piece in f.pieces + g.pieces)
+    assert p.coeffs == (QuadNum(Fraction(1, 2), 3, params), QuadNum(0, Fraction(1, 6), params))
+
+
+def test_integer_transfer_reads_rationality_from_the_pairs():
+    params = BetaParams(2, 1)
+    f = PiecewisePoly.from_polynomial(Polynomial.from_rationals([1, -3, 2], params))
+    # the integer-base operator keeps the degree: x^n goes to q^-n x^n + lower terms
+    assert apply_integer_transfer(f, 3).pieces[0].degree == 2
+    irrational = f + PiecewisePoly.from_polynomial(Polynomial.constant(params.beta()))
+    with pytest.raises(ValueError, match="rational coefficients"):
+        apply_integer_transfer(irrational, 3)
+    assert f.pieces[0]._coeffs is None and irrational.pieces[0]._coeffs is None
+
+
+def test_polynomials_over_different_fields_are_unequal():
+    golden, silver = BetaParams(1, 1), BetaParams(2, 1)
+    assert Polynomial.zero(golden) != Polynomial.zero(silver)
+    assert Polynomial.from_rationals([1, 2], golden) != Polynomial.from_rationals([1, 2], silver)
+    assert Polynomial.zero(golden) == Polynomial((), BetaParams(1, 1))
+    assert hash(Polynomial.zero(golden)) == hash(Polynomial((), BetaParams(1, 1)))
+    # arithmetic across fields is an error, as it is for QuadNum
+    with pytest.raises(ValueError):
+        Polynomial.from_rationals([1], golden) + Polynomial.from_rationals([1], silver)
+    with pytest.raises(ValueError):
+        Polynomial.from_rationals([1], golden).scaled(silver.beta())
+    with pytest.raises(ValueError):
+        PiecewisePoly.from_polynomial(Polynomial.zero(golden)).scaled(silver.beta())
 
 
 def test_internal_constructions_stay_canonical():

@@ -1,6 +1,8 @@
 """Transfer/Koopman/integer-base operators, conservation and contraction,
 pointwise preimage engine, greedy digit expansions."""
 
+import hashlib
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -135,6 +137,31 @@ def test_koopman_equals_exact_composition_on_random_functions():
                     assert kg.eval(x) == g.eval(y - y.floor())
 
 
+def test_transfer_iterates_serialize_to_a_fixed_digest():
+    """SHA-256 over to_json_dict() of exact transfer iterates of random
+    functions with irrational cuts and coefficients, over every field with
+    a0 <= 5. The value was recorded before Polynomial stored its pieces as
+    integer pairs over one denominator; no change of layout may move it."""
+    rng = random.Random(2026)
+    digest = hashlib.sha256()
+    for params in ALL_PARAMS_5:
+        binv = params.power(-1)
+        pool = ([params.rational(Fraction(i, 8)) for i in range(1, 8)]
+                + [binv * j for j in range(1, params.a0 + 1)])
+        for _ in range(3):
+            cuts = sorted(set(rng.sample(pool, rng.randint(0, 4))))
+            pcs = [Polynomial([QuadNum(Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                                       Fraction(rng.randint(-4, 4), rng.randint(1, 5)),
+                                       params) for _ in range(rng.randint(0, 4))], params)
+                   for _ in range(len(cuts) + 1)]
+            f = PiecewisePoly(params, [params.zero()] + cuts + [params.one()], pcs)
+            for _ in range(6):
+                f = apply_transfer(f)
+                digest.update(json.dumps(f.to_json_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "104cc4d9b39180e9eac3e3e10f74c20ca6263497e11c455b6126e36b975874f6"
+
+
 def test_integer_transfer_eigenrelations():
     params = GOLDEN
     chi = PiecewisePoly.from_polynomial(Polynomial.constant(params.one()))
@@ -196,6 +223,21 @@ def test_pointwise_budget_refuses_a_level_before_building_it():
         tracemalloc.stop()
     # building level 7 takes at least two float64 arrays of its size
     assert peak < 16 * 434002
+
+
+def test_preimage_levels_are_built_in_place():
+    """Each level is one float64 and one integer array filled by slices: with
+    F returning its argument, the peak is those two arrays of the last level
+    (434002 nodes) plus the previous level's origins and mask, under 20 bytes
+    a node. Concatenating per-branch arrays held about 27."""
+    params, xs = BetaParams(3, 1), [i / 100 for i in range(101)]
+    tracemalloc.start()
+    try:
+        pointwise_transfer_power(lambda x: x, params, 7, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 434002
 
 
 def test_greedy_examples():
