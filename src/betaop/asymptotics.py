@@ -70,32 +70,29 @@ def epsilon_of(params: BetaParams, N: int) -> TheoremParams:
 
 def two_term_residual_exact(F: PiecewisePoly, k_max: int, terms: int = 2,
                             piece_budget: int = 10 ** 6) -> ResidualSeries:
-    """Float sup-norm brackets of P^k F minus its expansion (exact engine, but
-    the bracket is not certified: ROADMAP.md item 1), for k = 1..k_max.
+    """Float sup-norm brackets of R_k, P^k F minus its expansion, for k = 1..k_max
+    (exact engine, but the bracket is not certified: ROADMAP.md item 1).
 
     terms=2 subtracts u1*integral(F) and beta^-k * u3 * (F(1)-F(0))/4;
-    terms=1 subtracts only the invariant part."""
+    terms=1 subtracts only the invariant part. The exact residual is iterated
+    itself, R_k = P R_{k-1}, and piece_budget bounds the pieces of R_k; for
+    polynomial F that is the piece count of P^k F."""
     if terms not in (1, 2):
         raise ValueError("terms must be 1 or 2")
     if k_max < 1:
         raise ValueError("k_max must be >= 1, got %d" % k_max)
-    params = F.params
-    u1, _, u3 = make_u_tilde(params)
-    total = F.integrate()
-    f0, f1 = F.boundary_values()
-    binv = params.power(-1)
-    neg_base = u1.scaled(-total)
-    c = (f0 - f1) * Fraction(1, 4)  # -beta^-k (F(1)-F(0))/4 once k steps ran
+    u1, _, u3 = make_u_tilde(F.params)
+    # P u1 = u1 and P u3 = u3/beta hold exactly, so with R_0 = F - u1*integral(F)
+    # [+ u3*(F(0)-F(1))/4] the linear P gives R_k = P^k R_0, the residual at k
+    resid = F + u1.scaled(-F.integrate())
+    if terms == 2:
+        f0, f1 = F.boundary_values()
+        resid = resid + u3.scaled((f0 - f1) * Fraction(1, 4))
     ks, lows, ups = [], [], []
-    cur = F
     for k in range(1, k_max + 1):
-        cur = apply_transfer(cur)
-        if len(cur.pieces) > piece_budget:
+        resid = apply_transfer(resid)
+        if len(resid.pieces) > piece_budget:
             raise BudgetExceeded("piece budget exceeded at k=%d" % k)
-        resid = cur + neg_base
-        if terms == 2:
-            c = c * binv
-            resid = resid + u3.scaled(c)
         lo, up = resid.sup_norm_bracket()
         ks.append(k)
         lows.append(lo)

@@ -120,7 +120,11 @@ class Polynomial:
 
     def compose_affine(self, scale: QuadNum, shift: QuadNum,
                        factor: QuadNum | None = None) -> "Polynomial":
-        """The polynomial x -> factor * p(scale*x + shift), factor 1 when None."""
+        """The polynomial x -> factor * p(scale*x + shift), factor 1 when None.
+        scale, shift and factor must lie in the field of p (ValueError)."""
+        for c in (scale, shift, factor):
+            if c is not None and c.params is not self.params and c.params != self.params:
+                raise ValueError("composing with a value from another field")
         if not self.num:
             return self
         return _new()._reduce(*affine_horner(self.num, self.den, scale, shift, factor),
@@ -320,37 +324,34 @@ class PiecewisePoly:
         if first > last:
             return PiecewisePoly.zero(self.params)
         s, t = self.breakpoints[first], self.breakpoints[last + 1]
-        if shift >= t or shift + scale <= s:
+        end = shift + scale
+        if shift >= t or end <= s:
             return PiecewisePoly.zero(self.params)
-        inv = scale.inverse()
-        zero_q, one_q = self.params.zero(), self.params.one()
-        # support in x: scale*x+shift in [s, t]
-        lo = max((s - shift) * inv, zero_q)
-        hi = min((t - shift) * inv, one_q)
+        # cuts are decided in y = scale*x + shift, and only a kept y is pulled
+        # back to x. Interior cuts are the breakpoints y_m in (shift, end), where
+        # s < y_m < t; the input piece from the cut of m on is m, and before the
+        # first cut it is the last m with y_m <= shift
         zp = Polynomial.zero(self.params)
-        bps, pcs = [zero_q], []
-        if lo.sign() > 0:
-            bps.append(lo)
+        bps, pcs = [self.params.zero()], []
+        if s > shift:
+            bps.append((s - shift) / scale)
             pcs.append(zp)
-        # interior cuts are pullbacks of the breakpoints inside (lo, hi); the
-        # input piece on [cut of m, next cut) is m, and before the first cut it
-        # is the last m whose pullback lies at or below lo
         idx = first
         for m in range(first + 1, last + 1):
-            x = (self.breakpoints[m] - shift) * inv
-            if x <= lo:
+            y = self.breakpoints[m]
+            if y <= shift:
                 idx = m
-            elif hi <= x:
+            elif y >= end:
                 break
             else:
-                bps.append(x)
+                bps.append((y - shift) / scale)
                 pcs.append(pieces[idx].compose_affine(scale, shift, factor))
                 idx = m
-        bps.append(hi)
         pcs.append(pieces[idx].compose_affine(scale, shift, factor))
-        if hi < one_q:
-            bps.append(one_q)
+        if t < end:
+            bps.append((t - shift) / scale)
             pcs.append(zp)
+        bps.append(self.params.one())
         return PiecewisePoly._trusted(self.params, *_merged(bps, pcs))
 
     def integrate(self) -> QuadNum:

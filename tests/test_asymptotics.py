@@ -4,19 +4,22 @@ reconstruction, decomposition budgets, and slope fitting."""
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from betaop import (BetaParams, BudgetExceeded, apply_transfer, builtin, chosen_level,
-                    epsilon_of, fit_slope, hor13_reconstruction,
+from betaop import (BetaParams, BudgetExceeded, PiecewisePoly, Polynomial, apply_transfer,
+                    builtin, chosen_level, epsilon_of, fit_slope, hor13_reconstruction,
                     lemmaPk_decomposition_check,
-                    make_psi_basis, make_u_tilde, two_term_residual_exact,
+                    make_psi_basis, make_u_tilde, refine_to_level, two_term_residual_exact,
                     two_term_residual_numeric)
 from betaop.asymptotics import FIT_SKIP, NOISE_FLOOR_RATIO
 
 GOLDEN = BetaParams(1, 1)
+ALL_PARAMS_5 = [BetaParams(a0, a1) for a0 in range(1, 6)
+                for a1 in range(1, a0 + 1)]
 
 
 def test_epsilon_examples():
@@ -58,6 +61,40 @@ def test_exact_residual_piece_budget():
     F = builtin("linear").piecewise(GOLDEN)  # 2 pieces after one step
     with pytest.raises(BudgetExceeded):
         two_term_residual_exact(F, 3, piece_budget=1)
+
+
+@st.composite
+def level_splines(draw):
+    """Splines of degree <= 2 with rational coefficients on the level-M
+    partition, M <= 2: P maps them to splines of level M - 1, so their
+    iterates keep few pieces."""
+    params = draw(st.sampled_from(ALL_PARAMS_5))
+    points = refine_to_level(params, draw(st.integers(1, 2))).points
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    pcs = [Polynomial.from_rationals(draw(st.lists(coeff, max_size=3)), params)
+           for _ in points[1:]]
+    return PiecewisePoly(params, points, pcs)
+
+
+@settings(deadline=None, max_examples=40)
+@given(level_splines(), st.integers(1, 12), st.sampled_from([1, 2]))
+def test_residual_series_matches_the_two_term_formula(F, k_max, terms):
+    # oracle: P^k F - u1*integral(F) + beta^-k u3 (F(0)-F(1))/4 from the
+    # iterates of F, against the residual iterated by itself
+    params = F.params
+    u1, _, u3 = make_u_tilde(params)
+    base = u1.scaled(-F.integrate())
+    f0, f1 = F.boundary_values()
+    c = (f0 - f1) * Fraction(1, 4) if terms == 2 else params.zero()
+    series = two_term_residual_exact(F, k_max, terms)
+    assert series.ks == list(range(1, k_max + 1))
+    resid, cur = F + base + u3.scaled(c), F
+    for k in series.ks:
+        cur, resid = apply_transfer(cur), apply_transfer(resid)
+        want = cur + base + u3.scaled(c * params.power(-k))
+        assert resid.equal_ae(want)
+        assert (series.residual_lower[k - 1], series.residual_upper[k - 1]) == \
+            want.sup_norm_bracket()
 
 
 def test_invariant_density_residual_vanishes():

@@ -255,22 +255,46 @@ def test_polynomial_compose_affine_matches_eval(args):
     assert p.compose_affine(scale, shift).eval(x) == p.eval(scale * x + shift)
 
 
-def assert_pullback_matches(f, scale, shift):
-    g = f.compose_affine(scale, shift)
+def assert_pullback_matches(f, scale, shift, factor=None):
+    g = f.compose_affine(scale, shift, factor)
     for m in midpoints(g):
         y = scale * m + shift
         inside = y.sign() >= 0 and (y - 1).sign() <= 0
-        assert g.eval(m) == (f.eval(y) if inside else 0)
+        want = f.eval(y) if inside else f.params.zero()
+        assert g.eval(m) == (want if factor is None else want * factor)
+    # canonical form: a kept cut between equal pieces would merge here
+    again = PiecewisePoly(g.params, g.breakpoints, g.pieces)
+    assert again.breakpoints == g.breakpoints and again.pieces == g.pieces
 
 
 @settings(deadline=None)
 @given(st.sampled_from(ALL_PARAMS_5).flatmap(
-    lambda p: st.tuples(piecewise_polys(p), st.integers(0, 3), st.integers(-4, 4),
-                        st.integers(-2, 2), st.just(p))))
+    lambda p: st.tuples(piecewise_polys(p), st.integers(-2, 3), st.integers(-4, 4),
+                        st.integers(-2, 2), st.one_of(st.none(), quadnums(p)),
+                        st.just(p))))
 def test_piecewise_compose_affine_matches_eval(args):
-    f, depth, h_rational, h_beta, params = args
-    shift = QuadNum(Fraction(h_rational, 4), Fraction(h_beta, 4), params)
-    assert_pullback_matches(f, params.power(-depth), shift)
+    # scales beta^-3 .. beta^2: the transfer branches and, above 1, the
+    # Koopman case; beside the drawn shift, images [shift, shift + scale]
+    # that start or end on each cut of f
+    f, depth, h_rational, h_beta, factor, params = args
+    scale = params.power(-depth)
+    shifts = [QuadNum(Fraction(h_rational, 4), Fraction(h_beta, 4), params)]
+    for y in f.breakpoints[1:-1]:
+        shifts += [y, y - scale]
+    for shift in shifts:
+        assert_pullback_matches(f, scale, shift, factor)
+
+
+def test_polynomial_compose_affine_rejects_another_field():
+    p = Polynomial.from_rationals([0, 1], GOLDEN)
+    other = BetaParams(2, 1)
+    own = (GOLDEN.beta(), GOLDEN.zero(), None)
+    for i, value in enumerate((other.beta(), other.zero(), other.one())):
+        args = list(own)
+        args[i] = value
+        with pytest.raises(ValueError, match="another field"):
+            p.compose_affine(*args)
+    assert p.compose_affine(*own) == Polynomial([GOLDEN.zero(), GOLDEN.beta()], GOLDEN)
 
 
 def test_compose_affine_on_the_support_edges():
