@@ -20,10 +20,9 @@ from .partition import (LevelPartition, PartitionPoint, building_block,
                         collapse_check, first_layer_point, intermediate_check,
                         lemmacrux_check, refine_to_level)
 from .piecewise import PiecewisePoly, Polynomial, combine
-from .spectral import (PsiBasis, RestrictionMatrix, SpectralData,
-                       block_eigenvalues, block_matrix, expand_in_basis,
-                       make_psi_basis, make_u_tilde, restriction_matrix,
-                       riesz_projections)
+from .spectral import (PsiBasis, SpectralData, block_eigenvalues,
+                       block_matrix, expand_in_basis, make_psi_basis,
+                       make_u_tilde, restriction_matrix, riesz_projections)
 from .transfer import (BudgetExceeded, GreedyDigits, apply_integer_transfer,
                        apply_koopman, apply_transfer, apply_transfer_iterate,
                        greedy_expand, pointwise_transfer_power)
@@ -40,8 +39,8 @@ __all__ = [
     "bernoulli_l1_norm", "periodized_eval", "EBExpansion", "eb_expand",
     "integer_transfer_pointwise", "integer_base_expansion_residual",
     "SmoothFunction", "builtin",
-    "PsiBasis", "make_psi_basis", "expand_in_basis", "RestrictionMatrix",
-    "restriction_matrix", "block_matrix", "block_eigenvalues", "make_u_tilde",
+    "PsiBasis", "make_psi_basis", "expand_in_basis", "restriction_matrix",
+    "block_matrix", "block_eigenvalues", "make_u_tilde",
     "SpectralData", "riesz_projections",
     "PartitionPoint", "LevelPartition", "first_layer_point", "refine_to_level",
     "building_block", "collapse_check", "intermediate_check", "lemmacrux_check",

@@ -115,7 +115,8 @@ def two_term_residual_numeric(F, params: BetaParams, ks,
     xs = [(2 * i + 1) / (2 * grid) for i in range(grid)]
     u1_vals = u1.eval_float(xs)
     u3_vals = u3.eval_float(xs)
-    total = F.integral(0.0, 1.0)
+    anti = F.derivative(math, -1)
+    total = anti(1.0) - anti(0.0)
     jump = (F(1.0) - F(0.0)) / 4.0
     b = params.beta_float()
     ks = list(ks)
@@ -144,7 +145,7 @@ def hor13_reconstruction(F, params: BetaParams, M: int, N: int,
     xs = [(2 * i + 1) / (2 * grid) for i in range(grid)]
     lefts = [float(g.value) for g in gaps]
     worst = max(abs(F(x) - expansions[bisect_right(lefts, x) - 1].reconstruct(x)) for x in xs)
-    dN = F.nth_derivative(N)
+    dN = F.derivative(math, N)
     sup_dn = max(abs(dN(x)) for x in xs)
     denom = params.beta_float() ** (-M * N) * sup_dn
     c = worst / denom if denom > 0 else float("inf")

@@ -12,8 +12,10 @@ from functools import lru_cache
 
 from .field import BetaParams, QuadNum
 from .piecewise import PiecewisePoly, Polynomial
+from .transfer import BudgetExceeded
 
 MAX_BERNOULLI_DEGREE = 64
+MAX_DIRECT_TERMS = 2 ** 16  # integer_transfer_pointwise refuses longer sums
 
 
 @lru_cache(maxsize=None)
@@ -109,28 +111,37 @@ class EBExpansion:
 def eb_expand(F, a: QuadNum, b: QuadNum, N: int) -> EBExpansion:
     """Euler-Bernoulli expansion data of F over [a,b] up to order N.
 
-    F must expose value/derivative evaluation (see catalog.SmoothFunction);
-    the interval mean uses F's exact integral when available, else mpmath
-    quadrature."""
+    F supplies its float forms through F.derivative(math, order), order -1
+    an antiderivative (see catalog.SmoothFunction)."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if b <= a:
         raise ValueError("need a < b")
     af, bf = float(a), float(b)
-    mean = F.integral(af, bf) / (bf - af)
-    jumps = [F.deriv_eval(s - 1, bf) - F.deriv_eval(s - 1, af) for s in range(1, N + 1)]
+    anti = F.derivative(math, -1)
+    mean = (anti(bf) - anti(af)) / (bf - af)
+    derivs = [F.derivative(math, s) for s in range(N)]
+    jumps = [d(bf) - d(af) for d in derivs]
     return EBExpansion(mean=mean, jump_coeffs=jumps, interval=(a, b), N=N)
 
 
 def integer_transfer_pointwise(F, q: int, k: int, x):
     """(Q^k F)(x) = q^-k * sum_{j<q^k} F((x+j)/q^k), the exact uniform
-    preimage tree of the integer-base operator, in mpmath working precision."""
+    preimage tree of the integer-base operator, in mpmath working precision.
+
+    Without a closed form the sum has q^k terms; more than MAX_DIRECT_TERMS
+    raise BudgetExceeded before the first."""
     if getattr(F, "qk_integer_transfer", None) is not None:
         return F.qk_integer_transfer(x, q, k)
+    # q >= 2, so q**k >= 2**k: a long k is refused before the power is built
+    if k >= MAX_DIRECT_TERMS.bit_length() or q ** k > MAX_DIRECT_TERMS:
+        raise BudgetExceeded("Q^%d F at q=%d needs over %d terms per point"
+                             % (k, q, MAX_DIRECT_TERMS))
     import mpmath as mp
+    f = F.derivative(mp, 0)  # at the working precision of this call
     n = q ** k
     h = mp.mpf(1) / n
-    return mp.fsum(F.mp_eval((x + j) * h) for j in range(n)) * h
+    return mp.fsum(f((x + j) * h) for j in range(n)) * h
 
 
 def integer_base_expansion_residual(F, q: int, k: int, N: int, grid: int) -> float:
@@ -150,9 +161,10 @@ def integer_base_expansion_residual(F, q: int, k: int, N: int, grid: int) -> flo
         raise ValueError("grid must be >= 1, got %d" % grid)
     xs = [(2 * i + 1) / (2 * grid) for i in range(grid)]
     one, zero = mp.mpf(1), mp.mpf(0)
-    integral = F.mp_integral(zero, one)
-    jumps = [F.mp_deriv_eval(j - 1, one) - F.mp_deriv_eval(j - 1, zero)
-             for j in range(1, N)]
+    anti = F.derivative(mp, -1)
+    integral = anti(one) - anti(zero)
+    derivs = [F.derivative(mp, j) for j in range(N - 1)]
+    jumps = [d(one) - d(zero) for d in derivs]
     worst = mp.mpf(0)
     for x in xs:
         xv = mp.mpf(x)

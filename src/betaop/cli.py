@@ -160,11 +160,7 @@ def cmd_iterate(args):
     params = _params(args)
     F = _load_function(args)
     if not isinstance(F, PiecewisePoly):
-        try:
-            F = F.piecewise(params)
-        except ValueError:
-            raise SystemExit("function %r has no exact piecewise form; "
-                             "use the asymptotics command instead" % args.F)
+        F = F.piecewise(params)
     g = apply_transfer_iterate(F, args.k)
     if args.out == "json":
         text = _json(g.to_json_dict())
@@ -353,13 +349,10 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print("budget exhausted: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, KeyError, OSError, OverflowError, SystemExit) as exc:
-        if isinstance(exc, SystemExit):
-            print(exc, file=sys.stderr)
-        else:
-            # str() of a KeyError is the repr of its message, quotes included
-            message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-            print("error: %s" % message, file=sys.stderr)
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
+        # str() of a KeyError is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print("error: %s" % message, file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -66,7 +66,6 @@ def mat_equal(a: Matrix, b: Matrix) -> bool:
 class PsiBasis:
     params: BetaParams
     nu: int
-    normalized: bool
     functions: list[PiecewisePoly]
 
 
@@ -93,7 +92,7 @@ def make_psi_basis(params: BetaParams, nu: int, normalized: bool = True) -> PsiB
         even_poly = bs.compose_affine(ratio, params.zero(), factor * ratio)
         even = PiecewisePoly.on_interval(even_poly, params.zero(), cut)
         funcs.extend([odd, even])
-    return PsiBasis(params=params, nu=nu, normalized=normalized, functions=funcs)
+    return PsiBasis(params=params, nu=nu, functions=funcs)
 
 
 def expand_in_basis(g: PiecewisePoly, basis: PsiBasis) -> list[QuadNum]:
@@ -128,18 +127,12 @@ def expand_in_basis(g: PiecewisePoly, basis: PsiBasis) -> list[QuadNum]:
     return coords
 
 
-@dataclass
-class RestrictionMatrix:
-    nu: int
-    entries: Matrix  # column j holds the psi-expansion of P(psi_j)
-
-
-def restriction_matrix(basis: PsiBasis) -> RestrictionMatrix:
-    """Matrix of the transfer operator on the psi span (columns exact)."""
+def restriction_matrix(basis: PsiBasis) -> Matrix:
+    """Matrix of the transfer operator on the psi span, exact: column j
+    holds the psi-expansion of P(psi_j)."""
     n = 2 * basis.nu
     cols = [expand_in_basis(apply_transfer(f), basis) for f in basis.functions]
-    entries = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return RestrictionMatrix(nu=basis.nu, entries=entries)
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def block_matrix(params: BetaParams, k: int) -> Matrix:
@@ -224,7 +217,7 @@ def riesz_projections(params: BetaParams) -> SpectralData:
     u1, u2, u3 are the psi-combinations given by column 1 of Pi1, column 1
     of Pi2 and column 3 of Pi3."""
     basis = make_psi_basis(params, 2, normalized=True)
-    matrix = restriction_matrix(basis).entries
+    matrix = restriction_matrix(basis)
     eigs = block_eigenvalues(params, 2)
     projections = sylvester_projections(matrix, eigs)
     u_tilde = tuple(combine([(pi[row][col], f) for row, f in enumerate(basis.functions)])

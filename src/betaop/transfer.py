@@ -16,7 +16,8 @@ DEFAULT_NODE_BUDGET = 10 ** 8
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when the preimage tree outgrows the configured node budget."""
+    """Raised when a computation outgrows its budget: preimage-tree nodes,
+    pieces, partition gaps or integer-base terms."""
 
 
 def _pullback_sum(f: PiecewisePoly, scale: QuadNum, shifts,

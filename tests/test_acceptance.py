@@ -67,7 +67,7 @@ def test_criterion_2_restriction_matrix_and_spectrum():
             [z, z, binv ** 4 * a1 * a1, z],
         ]
         basis = make_psi_basis(params, 2)
-        m4 = restriction_matrix(basis).entries
+        m4 = restriction_matrix(basis)
         ok &= mat_equal(m4, display)
         # block eigenvalues annihilate the characteristic polynomials, nu <= 4
         for k in range(1, 5):

@@ -1,15 +1,18 @@
 """Bernoulli polynomials, Euler-Bernoulli expansions, and the integer-base
 asymptotic residual."""
 
+import hashlib
 import math
+import struct
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from betaop import (BetaParams, bernoulli_coeffs, bernoulli_l1_norm,
-                    bernoulli_polynomial, builtin, eb_expand, fit_slope,
+from betaop import (BetaParams, BudgetExceeded, bernoulli, bernoulli_coeffs,
+                    bernoulli_l1_norm, bernoulli_polynomial, builtin,
+                    eb_expand, fit_slope,
                     integer_base_expansion_residual,
                     integer_transfer_pointwise, periodized_eval)
 
@@ -121,17 +124,6 @@ def test_eb_expand_on_subinterval():
             assert exp1.reconstruct(y) == pytest.approx(2 * y, abs=1e-12)
 
 
-def test_eb_expand_without_antiderivative():
-    # the interval mean falls back to quadrature when F has no antiderivative
-    a, b = GOLDEN.beta().inverse(), GOLDEN.one()
-    bare = builtin("sin")
-    bare.antiderivative = bare.mp_antiderivative = None
-    got = eb_expand(bare, a, b, 3)
-    want = eb_expand(builtin("sin"), a, b, 3)
-    assert got.mean == pytest.approx(want.mean, rel=1e-13)
-    assert got.jump_coeffs == want.jump_coeffs
-
-
 def test_eb_error_bound_smooth():
     params = GOLDEN
     a, b = params.zero(), params.one()
@@ -140,7 +132,7 @@ def test_eb_error_bound_smooth():
         exp_n = eb_expand(F, a, b, N)
         coeffs = [float(c) for c in reversed(bernoulli_coeffs(N))]
         bn_max = max(abs(np.polyval(coeffs, t)) for t in np.linspace(0, 1, 1001))
-        dn = F.nth_derivative(N)
+        dn = F.derivative(math, N)
         sup_dn = max(abs(dn(t)) for t in np.linspace(0, 1, 1001))
         bound = sup_dn * bn_max / math.factorial(N)
         worst = max(abs(F(y) - exp_n.reconstruct(y))
@@ -170,29 +162,14 @@ def test_residual_zero_for_terminating_expansion():
     params = GOLDEN
 
     class B2:
-        fn = staticmethod(lambda x: x * x - x + 1 / 6)
+        """x^2 - x + 1/6 over lib: antiderivative, value, first derivative."""
 
-        def __call__(self, x):
-            return self.fn(x)
-
-        def deriv_eval(self, order, x):
-            return [self.fn(x), 2 * x - 1, 2.0, 0.0][min(order, 3)]
-
-        def integral(self, a, b):
-            anti = lambda t: t ** 3 / 3 - t * t / 2 + t / 6
-            return anti(b) - anti(a)
-
-        def mp_eval(self, x):
-            return x * x - x + mp.mpf(1) / 6
-
-        def mp_deriv_eval(self, order, x):
-            return [self.mp_eval(x), 2 * x - 1, mp.mpf(2), mp.mpf(0)][min(order, 3)]
-
-        def mp_integral(self, a, b):
-            anti = lambda t: t ** 3 / 3 - t * t / 2 + t / 6
-            return anti(b) - anti(a)
-
-        qk_integer_transfer = None
+        @staticmethod
+        def derivative(lib, order):
+            sixth = 1 / 6 if lib is math else lib.mpf(1) / 6
+            return [lambda t: t ** 3 / 3 - t * t / 2 + t * sixth,
+                    lambda t: t * t - t + sixth,
+                    lambda t: 2 * t - 1][order + 1]
 
     F = B2()
     for k in (2, 4, 6):
@@ -232,14 +209,65 @@ def test_polynomial_residuals_are_exact_at_working_precision():
     assert residuals == [0.0] * 3
 
 
-@pytest.mark.parametrize("name", ["psi1", "psi3", "linear", "quadratic", "cubic",
-                                  "sin-normalized", "exp-normalized", "sin"])
+CATALOG = ["psi1", "psi3", "linear", "quadratic", "cubic", "sin-normalized",
+           "exp-normalized", "sin"]
+
+
+@pytest.mark.parametrize("name", CATALOG)
 def test_catalog_mp_forms_keep_working_precision(name):
     F = builtin(name)
     with mp.workdps(50):
         x = mp.mpf(1) / 3
-        assert abs(F.mp_eval(x) - F(float(x))) < 1e-15
+        f = F.derivative(mp, 0)
+        assert abs(f(x) - F(float(x))) < 1e-15
         for order in range(4):
-            ref = mp.diff(F.mp_eval, x, order)
-            assert abs(F.mp_deriv_eval(order, x) - ref) < mp.mpf(10) ** -40
-        assert abs(F.mp_integral(0, x) - mp.quad(F.mp_eval, [0, x])) < mp.mpf(10) ** -40
+            ref = mp.diff(f, x, order)
+            assert abs(F.derivative(mp, order)(x) - ref) < mp.mpf(10) ** -40
+        anti = F.derivative(mp, -1)
+        assert abs(anti(x) - anti(mp.mpf(0)) - mp.quad(f, [0, x])) < mp.mpf(10) ** -40
+
+
+def test_catalog_float_forms_are_bit_identical():
+    # SHA-256 over every entry's float value, derivative orders 0..6 and
+    # antiderivative at fixed points, plus its value on an array (or the
+    # marker b"scalar" where it does not vectorise); recorded when each
+    # entry carried a separate callable per form
+    xs = [i / 1000 for i in range(1001)] + [-0.75, 1.5, math.pi / 7, 2.0 ** -30]
+    h = hashlib.sha256()
+    for name in sorted(CATALOG):
+        F = builtin(name)
+        h.update(name.encode())
+        h.update(struct.pack("<%dd" % len(xs), *map(F, xs)))
+        for order in range(-1, 7):
+            h.update(struct.pack("<%dd" % len(xs), *map(F.derivative(math, order), xs)))
+        try:
+            h.update(np.asarray(F(np.array(xs)), dtype=float).tobytes())
+        except TypeError:
+            h.update(b"scalar")
+    assert h.hexdigest() == \
+        "bb25b296d811ae3871565b554191595bda85f7a93cbec1005edd105cb9f714ab"
+
+
+def test_integer_transfer_sums_at_the_working_precision_of_the_call():
+    # sum_{j<n} e^((x+j)/n) / (n (e - 1)) = e^(x/n) / (n (e^(1/n) - 1)): the
+    # form of F, its constant 1/(e - 1) included, is fetched inside the call
+    F = builtin("exp-normalized")
+    n = 2 ** 5
+    with mp.workdps(50):
+        for x in (mp.mpf(1) / 3, mp.mpf(7) / 8):
+            exact = mp.exp(x / n) / (n * mp.expm1(mp.mpf(1) / n))
+            assert abs(integer_transfer_pointwise(F, 2, 5, x) - exact) < mp.mpf(10) ** -45
+
+
+def test_integer_transfer_direct_sum_is_budgeted(monkeypatch):
+    F = builtin("cubic")
+    for q, k in ((2, 17), (3, 11), (2, 10 ** 12)):
+        with pytest.raises(BudgetExceeded):
+            integer_transfer_pointwise(F, q, k, 0.5)
+    # a sum of exactly the budget runs; at a budget of 16 that is 2^4 terms
+    monkeypatch.setattr(bernoulli, "MAX_DIRECT_TERMS", 16)
+    direct = sum(F((0.5 + j) / 16) for j in range(16)) / 16
+    assert integer_transfer_pointwise(F, 2, 4, 0.5) == pytest.approx(direct)
+    for q, k in ((2, 5), (17, 1), (3, 3)):
+        with pytest.raises(BudgetExceeded):
+            integer_transfer_pointwise(F, q, k, 0.5)

@@ -373,6 +373,28 @@ def test_partition_dump_beyond_the_gap_budget_exits_3(capsys):
         "060f0e282734a33d63b3c068dedac4f37d84f6b6cb62d1db95be8cec61dfa756"
 
 
+def test_function_without_exact_form_names_the_numeric_engine(capsys):
+    # iterate and the default exact asymptotics refuse sin with one message,
+    # and the command it names runs
+    line = "error: sin has no exact piecewise form; use asymptotics --engine numeric\n"
+    for argv in (["iterate", "--k", "2"], ["asymptotics", "--k-max", "8"]):
+        assert run([*argv, "--a0", "1", "--a1", "1", "--F", "sin"]) == 2
+        assert capsys.readouterr() == ("", line)
+    assert run(["asymptotics", "--a0", "1", "--a1", "1", "--F", "sin",
+                "--k-max", "8", "--engine", "numeric"]) == 0
+
+
+def test_integer_base_direct_sum_beyond_its_budget_exits_3(capsys):
+    # cubic sums 2^30 terms per point; sin has a closed form at any k
+    started = time.perf_counter()
+    argv = ["integer-base", "--k-min", "30", "--k-max", "30"]
+    assert run([*argv, "--F", "cubic"]) == 3
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("budget exhausted: ")
+    assert run([*argv, "--F", "sin", "--k-min", "29"]) == 0
+
+
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "no-such-dir" / "out.csv"
     assert run(["bernoulli-table", "--output", str(target)]) == 2

@@ -110,7 +110,7 @@ def test_u_tilde_match_display():
 
 def test_sylvester_projections_nu3():
     params = BetaParams(2, 1)
-    m = restriction_matrix(make_psi_basis(params, 3, normalized=False)).entries
+    m = restriction_matrix(make_psi_basis(params, 3, normalized=False))
     eigs = block_eigenvalues(params, 3)
     projs = sylvester_projections(m, eigs)
     for pi, lam in zip(projs, eigs):
@@ -128,13 +128,13 @@ def test_catalog_psi_entries_match_basis():
 
 def test_restriction_matrix_matches_display():
     for params in ALL_PARAMS_5:
-        m = restriction_matrix(make_psi_basis(params, 2)).entries
+        m = restriction_matrix(make_psi_basis(params, 2))
         assert mat_equal(m, expected_p4(params))
 
 
 def test_restriction_matrix_nu1():
     for params in (GOLDEN, BetaParams(3, 2)):
-        m = restriction_matrix(make_psi_basis(params, 1)).entries
+        m = restriction_matrix(make_psi_basis(params, 1))
         binv = params.beta().inverse()
         assert m[0][0] == binv * params.a0
         assert m[0][1] == 1
@@ -143,7 +143,7 @@ def test_restriction_matrix_nu1():
 
 
 def test_golden_matrix_values():
-    m = restriction_matrix(make_psi_basis(GOLDEN, 2)).entries
+    m = restriction_matrix(make_psi_basis(GOLDEN, 2))
     binv = GOLDEN.beta().inverse()
     assert m[0][2] == -(binv ** 3) * 2
     assert m[2][3] == 1
@@ -153,7 +153,7 @@ def test_golden_matrix_values():
 def test_block_triangular_shape_unnormalized():
     for nu in (3, 4):
         basis = make_psi_basis(BetaParams(2, 1), nu, normalized=False)
-        m = restriction_matrix(basis).entries
+        m = restriction_matrix(basis)
         for i in range(2 * nu):
             for j in range(2 * nu):
                 if i // 2 > j // 2:
@@ -249,7 +249,7 @@ def test_projection_columns_match_u_tilde():
 def test_projection_algebra():
     for params in ALL_PARAMS_5:
         data = riesz_projections(params)
-        m = restriction_matrix(make_psi_basis(params, 2)).entries
+        m = restriction_matrix(make_psi_basis(params, 2))
         projs = data.projections
         z = mat_zero(params, 4)
         for i, pi in enumerate(projs):
