@@ -41,8 +41,8 @@ def main() -> None:
                 assert mat_equal(mat_mul(pi, pj), mat_scale(pi, params.zero()))
     print("   Pi_i Pi_j = 0 for i != j: True")
 
-    show_matrix("\nPi1 (column 1 holds the u1 coefficients):", data.pi1)
-    show_matrix("Pi3 (column 3 holds the u3 coefficients):", data.pi3)
+    show_matrix("\nPi1 (column 1 holds the u1 coefficients):", data.projections[0])
+    show_matrix("Pi3 (column 3 holds the u3 coefficients):", data.projections[2])
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ def main() -> None:
     print("golden ratio beta ~ %.10f, ln beta ~ %.6f" % (b, math.log(b)))
 
     print("\nexact counterexample: P^k chi - u1 - (-1/beta^2)^k u2 == 0")
-    psi1 = make_psi_basis(params, 2).functions[0]
+    psi1 = make_psi_basis(params, 2)[0]
     u1, u2, _ = make_u_tilde(params)
     lam = -(params.beta().inverse() ** 2)
     cur, lam_k = psi1, params.one()

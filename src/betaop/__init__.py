@@ -9,7 +9,8 @@ make the operator identities verifiable with zero tolerance; numeric engines
 from .asymptotics import (DecompositionReport, ResidualSeries, TheoremParams,
                           chosen_level, epsilon_of, fit_slope,
                           hor13_reconstruction, lemmaPk_decomposition_check,
-                          two_term_residual_exact, two_term_residual_numeric)
+                          slope_or_nan, two_term_residual_exact,
+                          two_term_residual_numeric)
 from .bernoulli import (EBExpansion, bernoulli_coeffs, bernoulli_l1_norm,
                         bernoulli_piecewise, bernoulli_polynomial, eb_expand,
                         integer_base_expansion_residual,
@@ -20,9 +21,9 @@ from .partition import (LevelPartition, PartitionPoint, building_block,
                         collapse_check, first_layer_point, intermediate_check,
                         lemmacrux_check, refine_to_level)
 from .piecewise import PiecewisePoly, Polynomial, combine
-from .spectral import (PsiBasis, SpectralData, block_eigenvalues,
-                       block_matrix, expand_in_basis, make_psi_basis,
-                       make_u_tilde, restriction_matrix, riesz_projections)
+from .spectral import (SpectralData, block_eigenvalues, expand_in_basis,
+                       make_psi_basis, make_u_tilde, restriction_matrix,
+                       riesz_projections)
 from .transfer import (BudgetExceeded, GreedyDigits, apply_integer_transfer,
                        apply_koopman, apply_transfer, apply_transfer_iterate,
                        greedy_expand, pointwise_transfer_power)
@@ -39,12 +40,12 @@ __all__ = [
     "bernoulli_l1_norm", "periodized_eval", "EBExpansion", "eb_expand",
     "integer_transfer_pointwise", "integer_base_expansion_residual",
     "SmoothFunction", "builtin",
-    "PsiBasis", "make_psi_basis", "expand_in_basis", "restriction_matrix",
-    "block_matrix", "block_eigenvalues", "make_u_tilde",
+    "make_psi_basis", "expand_in_basis", "restriction_matrix",
+    "block_eigenvalues", "make_u_tilde",
     "SpectralData", "riesz_projections",
     "PartitionPoint", "LevelPartition", "first_layer_point", "refine_to_level",
     "building_block", "collapse_check", "intermediate_check", "lemmacrux_check",
-    "ResidualSeries", "TheoremParams", "epsilon_of", "fit_slope",
+    "ResidualSeries", "TheoremParams", "epsilon_of", "fit_slope", "slope_or_nan",
     "two_term_residual_exact", "two_term_residual_numeric",
     "hor13_reconstruction", "DecompositionReport",
     "lemmaPk_decomposition_check", "chosen_level",

@@ -46,6 +46,15 @@ def fit_slope(ks, values) -> float:
     return linear_regression(*zip(*pts)).slope
 
 
+def slope_or_nan(ks, values) -> float:
+    """fit_slope, or NaN when fewer than two points are usable: a series too
+    short to fit, or residuals that are exactly 0 or below the noise floor."""
+    try:
+        return fit_slope(ks, values)
+    except ValueError:
+        return math.nan
+
+
 @dataclass
 class TheoremParams:
     N: int
@@ -97,12 +106,8 @@ def two_term_residual_exact(F: PiecewisePoly, k_max: int, terms: int = 2,
         ks.append(k)
         lows.append(lo)
         ups.append(up)
-    try:
-        slope = fit_slope(ks, ups)
-    except ValueError:
-        slope = float("nan")  # residual identically zero (or below noise)
     return ResidualSeries(ks=ks, residual_lower=lows, residual_upper=ups,
-                          fitted_slope=slope)
+                          fitted_slope=slope_or_nan(ks, ups))
 
 
 def two_term_residual_numeric(F, params: BetaParams, ks,
@@ -129,7 +134,7 @@ def two_term_residual_numeric(F, params: BetaParams, ks,
         lows.append(sup)
         ups.append(sup)
     return ResidualSeries(ks=ks, residual_lower=lows, residual_upper=ups,
-                          fitted_slope=fit_slope(ks, ups))
+                          fitted_slope=slope_or_nan(ks, ups))
 
 
 def hor13_reconstruction(F, params: BetaParams, M: int, N: int,

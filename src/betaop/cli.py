@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .asymptotics import (epsilon_of, fit_slope, two_term_residual_exact,
+from .asymptotics import (epsilon_of, slope_or_nan, two_term_residual_exact,
                           two_term_residual_numeric)
 from .bernoulli import bernoulli_coeffs, integer_base_expansion_residual
 from .catalog import builtin
@@ -75,7 +75,9 @@ def _manifest(args, elapsed: float, extra: dict) -> dict:
         },
         "elapsed_seconds": elapsed,
     }
-    doc.update(extra)
+    # strict JSON has no NaN: a slope with no points to fit is written null
+    doc.update({k: None if isinstance(v, float) and math.isnan(v) else v
+                for k, v in extra.items()})
     return doc
 
 
@@ -181,6 +183,8 @@ def cmd_asymptotics(args):
     theorem = epsilon_of(params, args.N)
     b = params.beta_float()
     F = _load_function(args)
+    if args.k_max < 1:
+        raise ValueError("--k-max must be >= 1, got %d" % args.k_max)
     if args.engine == "exact":
         if not isinstance(F, PiecewisePoly):
             F = F.piecewise(params)
@@ -194,7 +198,9 @@ def cmd_asymptotics(args):
     rows = []
     for k, lo, up in zip(series.ks, series.residual_lower, series.residual_upper):
         bound = b ** (-(1.0 + theorem.epsilon) * k)
-        rows.append((k, _dec(lo), _dec(up), _dec(bound), _dec(up / bound)))
+        # the bound underflows to 0.0 at large k
+        ratio = up / bound if bound else math.nan
+        rows.append((k, _dec(lo), _dec(up), _dec(bound), _dec(ratio)))
     extra = {"fitted_slope": series.fitted_slope,
              "epsilon": theorem.epsilon,
              "predicted_slope_bound": -(1.0 + theorem.epsilon) * math.log(b)}
@@ -246,12 +252,15 @@ def cmd_bernoulli_table(args):
 
 def cmd_integer_base(args):
     F = builtin(args.F)
+    if args.k_min > args.k_max:
+        raise ValueError("--k-min %d is greater than --k-max %d"
+                         % (args.k_min, args.k_max))
     ks = list(range(args.k_min, args.k_max + 1))
     import mpmath
     with mpmath.workdps(60):
         residuals = [integer_base_expansion_residual(F, args.q, k, args.N, args.grid)
                      for k in ks]
-    slope = fit_slope(ks, residuals)
+    slope = slope_or_nan(ks, residuals)
     text = _csv([("k", "residual")] + [(k, _dec(r)) for k, r in zip(ks, residuals)])
     return text, {"fitted_slope": slope,
                   "expected_slope": -args.N * math.log(args.q)}, EXIT_PASS

@@ -15,62 +15,39 @@ from .field import BetaParams, QuadNum
 from .piecewise import PiecewisePoly, Polynomial, combine
 from .transfer import apply_transfer
 
-Matrix = list[list[QuadNum]]
-FrozenMatrix = tuple[tuple[QuadNum, ...], ...]
+Matrix = tuple[tuple[QuadNum, ...], ...]
 
 
 # -- small exact matrix helpers ------------------------------------------------
 
-def mat_zero(params: BetaParams, n: int) -> Matrix:
-    z = params.zero()
-    return [[z for _ in range(n)] for _ in range(n)]
-
-
 def mat_eye(params: BetaParams, n: int) -> Matrix:
-    m = mat_zero(params, n)
-    one = params.one()
-    for i in range(n):
-        m[i][i] = one
-    return m
+    zero, one = params.zero(), params.one()
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(a: Matrix, c: QuadNum) -> Matrix:
-    return [[x * c for x in row] for row in a]
+    return tuple(tuple(x * c for x in row) for row in a)
 
 
-def mat_equal(a: Matrix, b: Matrix) -> bool:
+def mat_equal(a, b) -> bool:
+    """Entrywise equality; either side may be a list of lists."""
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 # -- psi basis ---------------------------------------------------------------
 
-@dataclass
-class PsiBasis:
-    params: BetaParams
-    nu: int
-    functions: list[PiecewisePoly]
-
-
-def make_psi_basis(params: BetaParams, nu: int, normalized: bool = True) -> PsiBasis:
-    """The 2*nu basis functions: psi_{2s+1} = c_s B_s on [0,1] and
+def make_psi_basis(params: BetaParams, nu: int,
+                   normalized: bool = True) -> tuple[PiecewisePoly, ...]:
+    """The tuple psi_1, ..., psi_2nu: psi_{2s+1} = c_s B_s on [0,1] and
     psi_{2s+2} = c_s (beta/a1) B_s(beta x / a1) on [0, a1/beta], s < nu.
 
     normalized=True divides by the L1 norm of B_s, which is 1 and 1/4 for
@@ -92,18 +69,19 @@ def make_psi_basis(params: BetaParams, nu: int, normalized: bool = True) -> PsiB
         even_poly = bs.compose_affine(ratio, params.zero(), factor * ratio)
         even = PiecewisePoly.on_interval(even_poly, params.zero(), cut)
         funcs.extend([odd, even])
-    return PsiBasis(params=params, nu=nu, functions=funcs)
+    return tuple(funcs)
 
 
-def expand_in_basis(g: PiecewisePoly, basis: PsiBasis) -> list[QuadNum]:
-    """Exact coordinates of g in span{psi_1,...,psi_2nu}.
+def expand_in_basis(g: PiecewisePoly, basis: tuple[PiecewisePoly, ...]) -> list[QuadNum]:
+    """Exact coordinates of g in span{psi_1,...,psi_2nu}, the tuple that
+    make_psi_basis returns; nu is half its length.
 
     One triangular solve graded by degree, run twice: on (a1/beta, 1) only
     the odd basis functions are supported, which fixes the odd coordinates;
     once those are subtracted, the even ones follow on (0, a1/beta). Raises
     if g is not in the span."""
-    params = basis.params
-    nu = basis.nu
+    params = g.params
+    nu = len(basis) // 2
     cut = params.power(-1) * params.a1
     zero = params.zero()
 
@@ -115,50 +93,32 @@ def expand_in_basis(g: PiecewisePoly, basis: PsiBasis) -> list[QuadNum]:
     for parity, (a, b) in enumerate(((cut, params.one()), (zero, cut))):
         residual = h._piece_on(a, b)
         for s in range(nu - 1, -1, -1):
-            basis_poly = basis.functions[2 * s + parity]._piece_on(a, b)
+            basis_poly = basis[2 * s + parity]._piece_on(a, b)
             coeff = poly_coeff(residual, s) / poly_coeff(basis_poly, s)
             coords[2 * s + parity] = coeff
             residual = residual - basis_poly.scaled(coeff)
         for s in range(nu):
             if not coords[2 * s + parity].is_zero():
-                h = h - basis.functions[2 * s + parity].scaled(coords[2 * s + parity])
+                h = h - basis[2 * s + parity].scaled(coords[2 * s + parity])
     if not h.is_zero():
         raise ValueError("function is not in the span of the psi basis")
     return coords
 
 
-def restriction_matrix(basis: PsiBasis) -> Matrix:
+def restriction_matrix(basis: tuple[PiecewisePoly, ...]) -> Matrix:
     """Matrix of the transfer operator on the psi span, exact: column j
     holds the psi-expansion of P(psi_j)."""
-    n = 2 * basis.nu
-    cols = [expand_in_basis(apply_transfer(f), basis) for f in basis.functions]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def block_matrix(params: BetaParams, k: int) -> Matrix:
-    """The k-th 2x2 diagonal block of the restriction matrix."""
-    return [
-        [params.power(-k) * params.a0, params.rational(Fraction(1, params.a1 ** (k - 1)))],
-        [params.power(-2 * k) * params.a1 ** k, params.zero()],
-    ]
+    return tuple(zip(*(expand_in_basis(apply_transfer(f), basis) for f in basis)))
 
 
 def block_eigenvalues(params: BetaParams, nu: int) -> list[QuadNum]:
-    """Closed-form eigenvalues beta^{1-k}, -a1*beta^{-k-1} for k = 1..nu,
-    each verified exactly against the characteristic polynomial of its block."""
+    """Closed-form eigenvalues beta^{1-k}, -a1*beta^{-k-1} of the k-th 2x2
+    diagonal block of the restriction matrix, for k = 1..nu."""
     if nu < 1:
         raise ValueError("nu must be >= 1")
     out = []
     for k in range(1, nu + 1):
-        lam_odd = params.power(1 - k)
-        lam_even = -params.power(-k - 1) * params.a1
-        blk = block_matrix(params, k)
-        tr = blk[0][0] + blk[1][1]
-        det = blk[0][0] * blk[1][1] - blk[0][1] * blk[1][0]
-        for lam in (lam_odd, lam_even):
-            if not (lam * lam - tr * lam + det).is_zero():
-                raise AssertionError("eigenvalue fails characteristic identity at k=%d" % k)
-        out.extend([lam_odd, lam_even])
+        out.extend([params.power(1 - k), -params.power(-k - 1) * params.a1])
     return out
 
 
@@ -180,11 +140,6 @@ def sylvester_projections(m: Matrix, eigenvalues: list[QuadNum]) -> list[Matrix]
     return projections
 
 
-def _frozen(m: Matrix) -> FrozenMatrix:
-    """Rows as tuples, so the cached SpectralData cannot be changed in place."""
-    return tuple(tuple(row) for row in m)
-
-
 @dataclass(frozen=True)
 class SpectralData:
     """nu=2 spectral payload: the normalised 4x4 restriction matrix, its
@@ -192,21 +147,9 @@ class SpectralData:
 
     params: BetaParams
     eigenvalues: tuple[QuadNum, ...]
-    matrix: FrozenMatrix
-    projections: tuple[FrozenMatrix, ...]
+    matrix: Matrix
+    projections: tuple[Matrix, ...]
     u_tilde: tuple[PiecewisePoly, PiecewisePoly, PiecewisePoly]
-
-    @property
-    def pi1(self) -> FrozenMatrix:
-        return self.projections[0]
-
-    @property
-    def pi2(self) -> FrozenMatrix:
-        return self.projections[1]
-
-    @property
-    def pi3(self) -> FrozenMatrix:
-        return self.projections[2]
 
 
 @lru_cache(maxsize=None)
@@ -220,12 +163,10 @@ def riesz_projections(params: BetaParams) -> SpectralData:
     matrix = restriction_matrix(basis)
     eigs = block_eigenvalues(params, 2)
     projections = sylvester_projections(matrix, eigs)
-    u_tilde = tuple(combine([(pi[row][col], f) for row, f in enumerate(basis.functions)])
+    u_tilde = tuple(combine([(pi[row][col], f) for row, f in enumerate(basis)])
                     for pi, col in zip(projections, (0, 0, 2)))
-    return SpectralData(params=params, eigenvalues=tuple(eigs),
-                        matrix=_frozen(matrix),
-                        projections=tuple(_frozen(pi) for pi in projections),
-                        u_tilde=u_tilde)
+    return SpectralData(params=params, eigenvalues=tuple(eigs), matrix=matrix,
+                        projections=tuple(projections), u_tilde=u_tilde)
 
 
 def make_u_tilde(params: BetaParams) -> tuple[PiecewisePoly, PiecewisePoly, PiecewisePoly]:

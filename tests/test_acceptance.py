@@ -16,7 +16,7 @@ from betaop import (BetaParams, PiecewisePoly, Polynomial, QuadNum,
                     apply_transfer_iterate, bernoulli_piecewise, builtin,
                     epsilon_of, greedy_expand, intermediate_check,
                     lemmacrux_check, make_psi_basis, make_u_tilde,
-                    block_eigenvalues, block_matrix,
+                    block_eigenvalues,
                     expand_in_basis, pointwise_transfer_power,
                     refine_to_level, restriction_matrix, riesz_projections,
                     two_term_residual_exact, two_term_residual_numeric)
@@ -69,12 +69,16 @@ def test_criterion_2_restriction_matrix_and_spectrum():
         basis = make_psi_basis(params, 2)
         m4 = restriction_matrix(basis)
         ok &= mat_equal(m4, display)
-        # block eigenvalues annihilate the characteristic polynomials, nu <= 4
+        # the closed-form eigenvalues annihilate the characteristic polynomial
+        # of each diagonal block of the computed unnormalised nu=4 matrix
+        m8 = restriction_matrix(make_psi_basis(params, 4, normalized=False))
+        eigs = block_eigenvalues(params, 4)
         for k in range(1, 5):
-            blk = block_matrix(params, k)
-            tr = blk[0][0] + blk[1][1]
-            det = blk[0][0] * blk[1][1] - blk[0][1] * blk[1][0]
-            for lam in (binv ** (k - 1), -(binv ** (k + 1)) * a1):
+            r = 2 * (k - 1)
+            (t00, t01), (t10, t11) = (row[r:r + 2] for row in m8[r:r + 2])
+            tr = t00 + t11
+            det = t00 * t11 - t01 * t10
+            for lam in eigs[r:r + 2]:
                 ok &= (lam * lam - tr * lam + det).is_zero()
         # projection algebra and designated columns
         data = riesz_projections(params)
@@ -92,9 +96,10 @@ def test_criterion_2_restriction_matrix_and_spectrum():
         c1 = expand_in_basis(u1, basis)
         c2 = expand_in_basis(u2, basis)
         c3 = expand_in_basis(u3, basis)
-        ok &= all((data.pi1[i][0] - c1[i]).is_zero() for i in range(4))
-        ok &= all((data.pi2[i][0] - c2[i]).is_zero() for i in range(2))
-        ok &= all((data.pi3[i][2] - c3[i]).is_zero() for i in range(4))
+        pi1, pi2, pi3, _ = projs
+        ok &= all((pi1[i][0] - c1[i]).is_zero() for i in range(4))
+        ok &= all((pi2[i][0] - c2[i]).is_zero() for i in range(2))
+        ok &= all((pi3[i][2] - c3[i]).is_zero() for i in range(4))
     report(2, ok, started, 5.0, "display + algebra exact, 15 pairs")
 
 
@@ -102,7 +107,7 @@ def test_criterion_3_counterexample_identity():
     started = time.perf_counter()
     ok = True
     for params in ALL_PARAMS_5:
-        psi1 = make_psi_basis(params, 2).functions[0]
+        psi1 = make_psi_basis(params, 2)[0]
         u1, u2, _ = make_u_tilde(params)
         lam = -(params.beta().inverse() ** 2) * params.a1
         cur = psi1

@@ -46,7 +46,7 @@ def test_epsilon_scan_bounds():
 
 def test_exact_residual_is_second_eigenterm():
     for params in (GOLDEN, BetaParams(3, 2)):
-        psi1 = make_psi_basis(params, 2).functions[0]
+        psi1 = make_psi_basis(params, 2)[0]
         u2 = make_u_tilde(params)[1]
         lo2, up2 = u2.sup_norm_bracket(128)
         lam = params.a1 / params.beta_float() ** 2
@@ -156,7 +156,7 @@ def test_hor13_level_scaling():
 
 
 def test_lemmaPk_decomposition():
-    psi3 = make_psi_basis(GOLDEN, 2).functions[2]
+    psi3 = make_psi_basis(GOLDEN, 2)[2]
     rep = lemmaPk_decomposition_check(psi3, 3, 10)
     assert rep.passed
     assert rep.residual_upper <= 100 * max(rep.scales)

@@ -303,6 +303,54 @@ def test_empty_k_range_is_a_usage_error(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+def test_reversed_k_range_names_both_options(capsys):
+    assert run(["integer-base", "--k-min", "10", "--k-max", "5"]) == 2
+    assert capsys.readouterr() == ("", "error: --k-min 10 is greater than --k-max 5\n")
+
+
+def _reject_constant(name):
+    raise ValueError("%s is not strict JSON" % name)
+
+
+@pytest.mark.parametrize("argv,rows", [
+    # exactly 0 residuals, a one-point series, one point above FIT_SKIP
+    (["integer-base", "--F", "cubic", "--N", "5", "--k-min", "2", "--k-max", "8"], 7),
+    (["integer-base", "--F", "sin", "--k-min", "6", "--k-max", "6"], 1),
+    (["asymptotics", "--a0", "1", "--a1", "1", "--F", "sin", "--k-max", "6",
+      "--engine", "numeric"], 6),
+    (["asymptotics", "--a0", "1", "--a1", "1", "--F", "linear", "--k-max", "5"], 5),
+])
+def test_series_with_no_slope_to_fit(tmp_path, capsys, argv, rows):
+    # the table is printed, and the manifest writes the missing slope as null
+    assert run(argv) == 0
+    table = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert len(table) == rows + 1
+    target = tmp_path / "series.csv"
+    assert run([*argv, "--output", str(target)]) == 0
+    text = (tmp_path / "series.csv.manifest.json").read_text()
+    assert json.loads(text, parse_constant=_reject_constant)["fitted_slope"] is None
+
+
+def test_ratio_reads_nan_where_the_bound_underflows(capsys):
+    assert run(["asymptotics", "--a0", "5", "--a1", "1", "--F", "linear",
+                "--k-max", "396"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[-1][0] == "396" and rows[-1][3:] == ["0", "nan"]
+    assert rows[-2][3] != "0" and rows[-2][4] != "nan"
+
+
+def test_asymptotics_json_matches_csv(capsys):
+    argv = ["asymptotics", "--a0", "2", "--a1", "1", "--F", "quadratic", "--k-max", "12"]
+    assert run(argv) == 0
+    header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+    assert run([*argv, "--out", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [[str(row[h]) for h in header] for row in doc["rows"]] == rows
+    assert all(set(row) == set(header) for row in doc["rows"])
+    for key in ("fitted_slope", "epsilon", "predicted_slope_bound"):
+        assert math.isfinite(float(doc[key]))
+
+
 def test_integer_base_on_an_empty_grid_is_a_usage_error(capsys):
     assert run(["integer-base", "--k-min", "6", "--k-max", "8", "--grid", "0"]) == 2
     captured = capsys.readouterr()

@@ -115,6 +115,22 @@ def test_lemmacrux_small():
     assert rep2.passed and not rep2.failures
 
 
+def test_verifiers_fail_on_a_perturbed_operator(monkeypatch):
+    # negative control: with P replaced by 2P every block check must fail
+    import betaop.partition as partition
+    orig = partition.apply_transfer
+    monkeypatch.setattr(partition, "apply_transfer", lambda f: orig(f).scaled(2))
+    rep = lemmacrux_check(GOLDEN, 3, 2)
+    assert not rep.passed
+    assert [(f.k_word, f.j_word, f.s) for f in rep.failures] == [
+        (gap.k_word, gap.j_word, s)
+        for gap in refine_to_level(GOLDEN, 3).gaps for s in range(3)]
+    assert len(rep.failures) == rep.checked
+    for params in (GOLDEN, BetaParams(2, 2)):
+        assert not intermediate_check(params, 1)
+    assert not collapse_check(refine_to_level(BetaParams(2, 1), 3).gaps[0], 1)
+
+
 def test_budget_guards():
     with pytest.raises(ValueError):
         refine_to_level(GOLDEN, 0)

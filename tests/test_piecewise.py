@@ -31,7 +31,7 @@ def rational_pw(rng, params, max_pieces=4, max_deg=2):
 
 
 def test_psi_evaluations():
-    psi1, psi2, psi3, psi4 = make_psi_basis(GOLDEN, 2).functions
+    psi1, psi2, psi3, psi4 = make_psi_basis(GOLDEN, 2)
     half = GOLDEN.rational(Fraction(1, 2))
     assert psi1.eval(half) == 1
     assert psi3.eval(half).is_zero()
@@ -45,7 +45,7 @@ def test_psi_evaluations():
 
 
 def test_eval_outside_domain_errors():
-    psi1 = make_psi_basis(GOLDEN, 2).functions[0]
+    psi1 = make_psi_basis(GOLDEN, 2)[0]
     with pytest.raises(ValueError):
         psi1.eval(GOLDEN.rational(2))
 
@@ -66,7 +66,7 @@ def test_breakpoint_convention_right_limit():
 
 
 def test_combine_cancellation_and_u1_values():
-    psi1 = make_psi_basis(GOLDEN, 2).functions[0]
+    psi1 = make_psi_basis(GOLDEN, 2)[0]
     zero = combine([(GOLDEN.one(), psi1), (GOLDEN.rational(-1), psi1)])
     assert zero.is_zero()
     assert [b.to_string() for b in zero.breakpoints] == ["0", "1"]
@@ -95,7 +95,7 @@ def test_integrate_linearity_random():
 def test_compose_affine_examples():
     params = GOLDEN
     binv = params.beta().inverse()
-    psi1 = make_psi_basis(params, 2).functions[0]
+    psi1 = make_psi_basis(params, 2)[0]
     # [0,1]/beta is inside [0,1], so the pullback of the indicator is psi1
     assert psi1.compose_affine(binv, params.zero()).equal_ae(psi1)
     # shift by a0/beta: support shrinks to [0, a1/beta]
@@ -150,20 +150,20 @@ def test_canonical_merge_idempotent():
 
 
 def test_equal_ae_examples():
-    psi1, psi2 = make_psi_basis(GOLDEN, 2).functions[:2]
+    psi1, psi2 = make_psi_basis(GOLDEN, 2)[:2]
     assert psi1.equal_ae(psi1)
     assert not psi1.equal_ae(psi2)
 
 
 def test_sup_norm_bracket():
-    psi3 = make_psi_basis(GOLDEN, 2).functions[2]
+    psi3 = make_psi_basis(GOLDEN, 2)[2]
     lo, up = psi3.sup_norm_bracket()
     assert lo <= 2.0 <= up
     lo, up = psi3.sup_norm_bracket(512)
     assert up - lo < 0.05
     z = PiecewisePoly.zero(GOLDEN)
     assert z.sup_norm_bracket() == (0.0, 0.0)
-    psi4 = make_psi_basis(GOLDEN, 2).functions[3]
+    psi4 = make_psi_basis(GOLDEN, 2)[3]
     lo4, up4 = psi4.sup_norm_bracket()
     assert lo4 <= 2 * GOLDEN.beta_float() + 1e-12
     assert 2 * GOLDEN.beta_float() <= up4

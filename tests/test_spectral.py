@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from betaop import (BetaParams, QuadNum, apply_transfer, block_eigenvalues,
-                    block_matrix, builtin, combine, expand_in_basis, fit_slope,
+                    builtin, combine, expand_in_basis, fit_slope,
                     make_psi_basis, make_u_tilde, restriction_matrix,
                     riesz_projections, two_term_residual_exact)
-from betaop.spectral import (mat_equal, mat_eye, mat_mul, mat_scale, mat_zero,
+from betaop.spectral import (mat_equal, mat_eye, mat_mul, mat_scale,
                              sylvester_projections)
 
 GOLDEN = BetaParams(1, 1)
@@ -30,6 +30,21 @@ def expected_p4(params):
         [z, z, binv ** 2 * a0, params.rational(Fraction(1, a1))],
         [z, z, binv ** 4 * a1 * a1, z],
     ]
+
+
+def block_display(params, k):
+    """The paper's display of the k-th 2x2 diagonal block of the restriction
+    matrix on the unnormalised basis."""
+    return [
+        [params.power(-k) * params.a0, params.rational(Fraction(1, params.a1 ** (k - 1)))],
+        [params.power(-2 * k) * params.a1 ** k, params.zero()],
+    ]
+
+
+def diagonal_block(m, k):
+    """The k-th 2x2 diagonal block of a computed restriction matrix."""
+    r = 2 * (k - 1)
+    return [row[r:r + 2] for row in m[r:r + 2]]
 
 
 def inverse_2x2(a):
@@ -71,8 +86,8 @@ def display_projections(params):
     zero2 = [[z, z], [z, z]]
 
     def embed(top_left, top_right, bottom_right):
-        return ([left + right for left, right in zip(top_left, top_right)]
-                + [left + right for left, right in zip(zero2, bottom_right)])
+        return ([[*left, *right] for left, right in zip(top_left, top_right)]
+                + [[*left, *right] for left, right in zip(zero2, bottom_right)])
 
     return [embed(pi1, zero2, zero2), embed(pi2, star, zero2),
             embed(zero2, pi3_tr, pi3_br)]
@@ -105,7 +120,7 @@ def test_u_tilde_match_display():
     for params in ALL_PARAMS_5:
         basis = make_psi_basis(params, 2)
         for u, coords in zip(make_u_tilde(params), display_u_tilde_coords(params)):
-            assert u.equal_ae(combine(list(zip(coords, basis.functions))))
+            assert u.equal_ae(combine(list(zip(coords, basis))))
 
 
 def test_sylvester_projections_nu3():
@@ -121,7 +136,7 @@ def test_sylvester_projections_nu3():
 
 def test_catalog_psi_entries_match_basis():
     for params in (GOLDEN, BetaParams(3, 2)):
-        psi1, _, psi3, _ = make_psi_basis(params, 2).functions
+        psi1, _, psi3, _ = make_psi_basis(params, 2)
         assert builtin("psi1").piecewise(params).equal_ae(psi1)
         assert builtin("psi3").piecewise(params).equal_ae(psi3)
 
@@ -160,12 +175,7 @@ def test_block_triangular_shape_unnormalized():
                     assert m[i][j].is_zero()
         # diagonal blocks equal A_k (same normalization inside each block)
         for k in range(1, nu + 1):
-            blk = block_matrix(basis.params, k)
-            r = 2 * (k - 1)
-            assert (m[r][r] - blk[0][0]).is_zero()
-            assert (m[r][r + 1] - blk[0][1]).is_zero()
-            assert (m[r + 1][r] - blk[1][0]).is_zero()
-            assert (m[r + 1][r + 1] - blk[1][1]).is_zero()
+            assert mat_equal(diagonal_block(m, k), block_display(BetaParams(2, 1), k))
 
 
 def test_normalized_basis_limits():
@@ -174,15 +184,21 @@ def test_normalized_basis_limits():
 
 
 def test_block_trace_and_det():
+    # each diagonal block of the computed nu=4 matrix equals the display,
+    # and the closed-form eigenvalues annihilate its characteristic polynomial
     for params in ALL_PARAMS_5:
-        beta = params.beta()
-        binv = beta.inverse()
+        binv = params.beta().inverse()
+        m = restriction_matrix(make_psi_basis(params, 4, normalized=False))
+        eigs = block_eigenvalues(params, 4)
         for k in range(1, 5):
-            blk = block_matrix(params, k)
+            blk = diagonal_block(m, k)
+            assert mat_equal(blk, block_display(params, k))
             tr = blk[0][0] + blk[1][1]
             det = blk[0][0] * blk[1][1] - blk[0][1] * blk[1][0]
             assert (tr - binv ** k * params.a0).is_zero()
             assert (det + binv ** (2 * k) * params.a1).is_zero()
+            for lam in eigs[2 * k - 2:2 * k]:
+                assert (lam * lam - tr * lam + det).is_zero()
 
 
 def test_block_eigenvalues_closed_form():
@@ -222,7 +238,7 @@ def test_u_tilde_integrals_and_eigenrelations():
 
 def test_psi_integrals():
     for params in (GOLDEN, BetaParams(4, 3)):
-        psi1, psi2, psi3, psi4 = make_psi_basis(params, 2).functions
+        psi1, psi2, psi3, psi4 = make_psi_basis(params, 2)
         assert (psi1.integrate() - 1).is_zero()
         assert (psi2.integrate() - 1).is_zero()
         assert psi3.integrate().is_zero()
@@ -234,16 +250,17 @@ def test_projection_columns_match_u_tilde():
         data = riesz_projections(params)
         basis = make_psi_basis(params, 2)
         u1, u2, u3 = data.u_tilde
+        pi1, pi2, pi3, _ = data.projections
         c1 = expand_in_basis(u1, basis)
         c3 = expand_in_basis(u3, basis)
         for i in range(4):
-            assert (data.pi1[i][0] - c1[i]).is_zero()
-            assert (data.pi3[i][2] - c3[i]).is_zero()
+            assert (pi1[i][0] - c1[i]).is_zero()
+            assert (pi3[i][2] - c3[i]).is_zero()
         # column 2 of pi2 relates to u2 through the sign convention of the
         # second basis vector: first column carries the u2 coefficients
         c2 = expand_in_basis(u2, basis)
-        assert (data.pi2[0][0] - c2[0]).is_zero()
-        assert (data.pi2[1][0] - c2[1]).is_zero()
+        assert (pi2[0][0] - c2[0]).is_zero()
+        assert (pi2[1][0] - c2[1]).is_zero()
 
 
 def test_projection_algebra():
@@ -251,7 +268,7 @@ def test_projection_algebra():
         data = riesz_projections(params)
         m = restriction_matrix(make_psi_basis(params, 2))
         projs = data.projections
-        z = mat_zero(params, 4)
+        z = mat_scale(m, params.zero())
         for i, pi in enumerate(projs):
             lam = data.eigenvalues[i]
             assert mat_equal(mat_mul(pi, pi), pi)
@@ -265,7 +282,7 @@ def test_projection_algebra():
 def test_psi_residual_decay_rates():
     params = GOLDEN
     b = params.beta_float()
-    psi = make_psi_basis(params, 2).functions
+    psi = make_psi_basis(params, 2)
     # psi3 has integral 0 and jump 4, so the two-term residual is
     # P^r psi3 - beta^-r u3; it decays per step like a1/beta^2
     ups = two_term_residual_exact(psi[2], 14).residual_upper

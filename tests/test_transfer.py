@@ -35,7 +35,7 @@ def random_rational_pw(rng, params):
 
 def test_transfer_on_psi_displays():
     for params in ALL_PARAMS_5:
-        psi1, psi2, psi3, psi4 = make_psi_basis(params, 2).functions
+        psi1, psi2, psi3, psi4 = make_psi_basis(params, 2)
         beta = params.beta()
         binv = beta.inverse()
         assert apply_transfer(psi2).equal_ae(psi1)
@@ -86,7 +86,7 @@ def test_sup_norm_contraction_bound():
 
 def test_duality_on_psi_pairs():
     for params in (GOLDEN, BetaParams(2, 1), BetaParams(3, 2)):
-        funcs = make_psi_basis(params, 2).functions
+        funcs = make_psi_basis(params, 2)
         for f in funcs:
             for g in funcs:
                 lhs = (apply_transfer(f) * g).integrate()
@@ -97,7 +97,7 @@ def test_duality_on_psi_pairs():
 def test_koopman_is_composition():
     params = BetaParams(2, 1)
     beta_f = params.beta_float()
-    g = make_psi_basis(params, 2).functions[2]
+    g = make_psi_basis(params, 2)[2]
     kg = apply_koopman(g)
     xs = np.array([0.05, 0.2, 0.33, 0.41, 0.55, 0.72, 0.9])
     direct = g.eval_float(beta_f * xs - np.floor(beta_f * xs))
