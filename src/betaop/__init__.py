@@ -11,8 +11,8 @@ from .asymptotics import (DecompositionReport, ResidualSeries, TheoremParams,
                           hor13_reconstruction, lemmaPk_decomposition_check,
                           slope_or_nan, two_term_residual_exact,
                           two_term_residual_numeric)
-from .bernoulli import (EBExpansion, bernoulli_coeffs, bernoulli_l1_norm,
-                        bernoulli_piecewise, bernoulli_polynomial, eb_expand,
+from .bernoulli import (EBExpansion, bernoulli_coeffs, bernoulli_piecewise,
+                        bernoulli_polynomial, eb_expand,
                         integer_base_expansion_residual,
                         integer_transfer_pointwise, periodized_eval)
 from .catalog import SmoothFunction, builtin
@@ -25,19 +25,19 @@ from .spectral import (SpectralData, block_eigenvalues, expand_in_basis,
                        make_psi_basis, make_u_tilde, restriction_matrix,
                        riesz_projections)
 from .transfer import (BudgetExceeded, GreedyDigits, apply_integer_transfer,
-                       apply_koopman, apply_transfer, apply_transfer_iterate,
-                       greedy_expand, pointwise_transfer_power)
+                       apply_transfer, apply_transfer_iterate, greedy_expand,
+                       pointwise_transfer_power)
 
 __version__ = "1.0.0"
 
 __all__ = [
     "BetaParams", "QuadNum", "quadnum_from_string",
     "Polynomial", "PiecewisePoly", "combine",
-    "apply_transfer", "apply_transfer_iterate", "apply_koopman",
-    "apply_integer_transfer", "pointwise_transfer_power", "greedy_expand",
+    "apply_transfer", "apply_transfer_iterate", "apply_integer_transfer",
+    "pointwise_transfer_power", "greedy_expand",
     "GreedyDigits", "BudgetExceeded",
     "bernoulli_coeffs", "bernoulli_polynomial", "bernoulli_piecewise",
-    "bernoulli_l1_norm", "periodized_eval", "EBExpansion", "eb_expand",
+    "periodized_eval", "EBExpansion", "eb_expand",
     "integer_transfer_pointwise", "integer_base_expansion_residual",
     "SmoothFunction", "builtin",
     "make_psi_basis", "expand_in_basis", "restriction_matrix",

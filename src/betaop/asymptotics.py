@@ -62,19 +62,28 @@ class TheoremParams:
     N_min_bound: float
 
 
-def epsilon_of(params: BetaParams, N: int) -> TheoremParams:
+def epsilon_of(params: BetaParams, N: int | None = None) -> TheoremParams:
     """The contraction exponent epsilon for a given smoothness order N,
-    together with the threshold that N must exceed."""
+    together with the threshold that N must exceed. N None takes the least N
+    that passes both checks below: at a1 = 1 the threshold is exactly 6, and
+    its float may round below 6, where epsilon is then 0."""
     b = params.beta_float()
     a1 = params.a1
     threshold = 3 * math.log(b * b / a1) / math.log(b / a1)
+
+    def eps(n):
+        return min(3.0 / n,
+                   (-(3.0 / n) * math.log(b * b / a1) + math.log(b / a1)) / math.log(b))
+
+    if N is None:
+        N = math.floor(threshold) + 1
+        while eps(N) <= 0:
+            N += 1
     if N <= threshold:
         raise ValueError("N=%d is at or below the threshold %.6f" % (N, threshold))
-    eps = min(3.0 / N,
-              (-(3.0 / N) * math.log(b * b / a1) + math.log(b / a1)) / math.log(b))
-    if eps <= 0:
+    if eps(N) <= 0:
         raise ValueError("epsilon is non-positive; raise N")
-    return TheoremParams(N=N, epsilon=eps, N_min_bound=threshold)
+    return TheoremParams(N=N, epsilon=eps(N), N_min_bound=threshold)
 
 
 def two_term_residual_exact(F: PiecewisePoly, k_max: int, terms: int = 2,

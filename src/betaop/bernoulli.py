@@ -61,27 +61,6 @@ def periodized_eval(n: int, x) -> float:
     return acc
 
 
-@lru_cache(maxsize=None)
-def bernoulli_l1_norm(n: int) -> float:
-    """L1 norm of B_n on [0,1] in rational arithmetic: the sum of |A(v) - A(u)|,
-    A an antiderivative, over the pieces [u, v] cut at the roots of B_n. These
-    lie among 0, 1/2, 1 for n = 0 and odd n, else they are r and 1 - r, with r
-    bisected to 2^-65 (an error that enters only squared, as B_n(r) = 0)."""
-    bn = bernoulli_coeffs(n)
-    at = lambda cs, t: sum(c * t ** i for i, c in enumerate(cs))
-    r = Fraction(1, 2)
-    if n % 2 == 0 < n:
-        # B_n(0) and B_n(1/2) = (2^{1-n} - 1)*B_n(0) differ in sign
-        lo, hi = Fraction(0), Fraction(1, 2)
-        for _ in range(64):
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if at(bn, mid) * bn[0] > 0 else (lo, mid)
-        r = lo
-    anti = (0,) + tuple(c / (i + 1) for i, c in enumerate(bn))
-    values = [at(anti, t) for t in (0, r, 1 - r, 1)]
-    return float(sum(abs(v - u) for u, v in zip(values, values[1:])))
-
-
 @dataclass
 class EBExpansion:
     """Finite Euler-Bernoulli expansion of F on [a,b]: interval mean plus

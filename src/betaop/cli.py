@@ -94,7 +94,7 @@ def _load_function(args):
         doc = json.load(fh)
     try:
         F = PiecewisePoly.from_json_dict(doc)
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError("--piecewise-json %s is malformed: %s"
                          % (args.piecewise_json, exc)) from None
     if F.params != _params(args):
@@ -110,9 +110,6 @@ def _load_function(args):
 
 def cmd_eigen_check(args):
     params = _params(args)
-    if args.nu != 2:
-        raise ValueError("--nu %d: the eigenrelation and projection checks "
-                         "exist only at nu = 2" % args.nu)
     data = riesz_projections(params)
     eigs = data.eigenvalues
     _, lam2, binv, _ = eigs
@@ -144,7 +141,7 @@ def cmd_eigen_check(args):
             "schema": 1,
             "a0": params.a0,
             "a1": params.a1,
-            "nu": args.nu,
+            "nu": 2,
             "eigenvalues": [e.to_string() for e in eigs],
             "eigenvalues_decimal": [_dec(float(e)) for e in eigs],
             "restriction_matrix": [[e.to_string() for e in row] for row in m4],
@@ -181,6 +178,7 @@ def cmd_iterate(args):
 def cmd_asymptotics(args):
     params = _params(args)
     theorem = epsilon_of(params, args.N)
+    args.N = theorem.N  # the manifest records the N used, also when --N was not given
     b = params.beta_float()
     F = _load_function(args)
     if args.k_max < 1:
@@ -287,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eigen-check", help="exact eigenrelation and "
                        "projection-algebra verification")
     add_params(p)
-    p.add_argument("--nu", type=int, default=2)
     p.add_argument("--json", action="store_true")
     add_common(p)
     p.set_defaults(func=cmd_eigen_check)
@@ -308,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--F", default="linear")
     p.add_argument("--piecewise-json")
     p.add_argument("--k-max", type=int, default=14)
-    p.add_argument("--N", type=int, default=7)
+    p.add_argument("--N", type=int, help="smoothness order of the decay bound; "
+                   "default: the least that the threshold admits")
     p.add_argument("--grid", type=int, default=101)
     p.add_argument("--engine", choices=("exact", "numeric"), default="exact")
     p.add_argument("--out", choices=("csv", "json"), default="csv")

@@ -24,7 +24,7 @@ class BetaParams:
     a1: int
 
     def __post_init__(self):
-        if not (isinstance(self.a0, int) and isinstance(self.a1, int)):
+        if not (type(self.a0) is int and type(self.a1) is int):  # a bool is refused
             raise TypeError("a0 and a1 must be integers")
         if not self.a0 >= self.a1 >= 1:
             raise ValueError("need a0 >= a1 >= 1, got a0=%s a1=%s" % (self.a0, self.a1))

@@ -6,7 +6,6 @@ each block onto a global basis function.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .bernoulli import bernoulli_polynomial, bernoulli_piecewise
@@ -59,10 +58,6 @@ class LevelPartition:
     @property
     def points(self) -> list[QuadNum]:
         return [g.value for g in self.gaps] + [self.params.one()]
-
-    def locate(self, x: QuadNum) -> int:
-        """Index of the gap containing x (right endpoints excluded except at 1)."""
-        return bisect_right(self.gaps, x, 1, key=lambda g: g.value) - 1
 
 
 def refine_to_level(params: BetaParams, M: int) -> LevelPartition:

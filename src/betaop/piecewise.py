@@ -52,10 +52,6 @@ class Polynomial:
         return cls((), params)  # shared, as every Polynomial is immutable
 
     @classmethod
-    def constant(cls, value: QuadNum) -> "Polynomial":
-        return cls((value,), value.params)
-
-    @classmethod
     def from_rationals(cls, coeffs: Iterable, params: BetaParams) -> "Polynomial":
         return cls([QuadNum(Fraction(c), 0, params) for c in coeffs], params)
 
@@ -64,10 +60,6 @@ class Polynomial:
         if self._coeffs is None:
             self._coeffs = tuple(_make(u, v, self.den, self.params) for u, v in self.num)
         return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.num) - 1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
         return not self.num
@@ -90,13 +82,6 @@ class Polynomial:
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scaled(QuadNum(-1, 0, self.params))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out = [self.params.zero()] * (len(self.num) + len(other.num) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(out, self.params)
 
     def scaled(self, factor) -> "Polynomial":
         if not isinstance(factor, QuadNum) or factor.params != self.params:
@@ -229,10 +214,6 @@ class PiecewisePoly:
         # the checks above imply everything the public constructor checks
         return cls._trusted(params, *_merged(bps, pcs))
 
-    @classmethod
-    def indicator(cls, params: BetaParams, a: QuadNum, b: QuadNum) -> "PiecewisePoly":
-        return cls.on_interval(Polynomial.constant(params.one()), a, b)
-
     # -- evaluation ----------------------------------------------------------
 
     def _piece_index(self, x: QuadNum) -> int:
@@ -243,9 +224,6 @@ class PiecewisePoly:
 
     def eval(self, x: QuadNum) -> QuadNum:
         return self.pieces[self._piece_index(x)].eval(x)
-
-    def __call__(self, x: QuadNum) -> QuadNum:
-        return self.eval(x)
 
     def boundary_values(self) -> tuple[QuadNum, QuadNum]:
         """One-sided limits (f(0+), f(1-))."""
@@ -284,11 +262,6 @@ class PiecewisePoly:
 
     def __sub__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         return self + other.scaled(QuadNum(-1, 0, self.params))
-
-    def __mul__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        bps, pairs = self._zip_pieces(other)
-        pcs = [self.pieces[i] * other.pieces[j] for i, j in pairs]
-        return PiecewisePoly._trusted(self.params, *_merged(bps, pcs))
 
     def scaled(self, factor) -> "PiecewisePoly":
         pcs = [p.scaled(factor) for p in self.pieces]

@@ -1,6 +1,6 @@
 """The transfer operator of the greedy beta-map T(x) = beta*x - floor(beta*x),
-its Koopman dual, the integer-base analogue, a pointwise preimage-tree
-evaluator, and exact greedy digit expansions.
+the integer-base analogue, a pointwise preimage-tree evaluator, and exact
+greedy digit expansions.
 """
 
 from __future__ import annotations
@@ -55,15 +55,6 @@ def apply_transfer_iterate(f: PiecewisePoly, k: int) -> PiecewisePoly:
     for _ in range(k):
         f = apply_transfer(f)
     return f
-
-
-def apply_koopman(g: PiecewisePoly) -> PiecewisePoly:
-    """Exact g(T(x)): on each branch [j/beta, (j+1)/beta) substitute beta*x - j.
-    The pull-back x -> g(beta*x - j) vanishes off that branch, so the
-    branches add up."""
-    params = g.params
-    shifts = (QuadNum(-j, 0, params) for j in range(params.a0 + 1))
-    return _pullback_sum(g, params.beta(), shifts, None)
 
 
 def apply_integer_transfer(f: PiecewisePoly, q: int) -> PiecewisePoly:

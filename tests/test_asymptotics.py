@@ -32,6 +32,20 @@ def test_epsilon_examples():
         epsilon_of(GOLDEN, 6)
 
 
+def test_epsilon_default_N_is_the_least_admitted():
+    # at a1 = 1 the threshold is exactly 6; its float reads 5.999999999999999
+    # at (5, 1), where N = 6 gives epsilon 0 and is refused
+    for params in ALL_PARAMS_5:
+        tp = epsilon_of(params)
+        assert tp.epsilon > 0 and tp.N > tp.N_min_bound
+        with pytest.raises(ValueError):
+            epsilon_of(params, tp.N - 1)
+        if params.a1 == 1:
+            assert tp.N == 7
+    assert epsilon_of(BetaParams(3, 2)).N == 10
+    assert epsilon_of(BetaParams(5, 5)).N == 37
+
+
 def test_epsilon_scan_bounds():
     for a0 in range(1, 6):
         for a1 in range(1, a0 + 1):

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from betaop import (BetaParams, BudgetExceeded, bernoulli, bernoulli_coeffs,
-                    bernoulli_l1_norm, bernoulli_polynomial, builtin,
-                    eb_expand, fit_slope,
+                    bernoulli_polynomial, builtin, eb_expand, fit_slope,
                     integer_base_expansion_residual,
                     integer_transfer_pointwise, periodized_eval)
 
@@ -51,44 +50,6 @@ def test_periodized_eval():
     with mp.workdps(40):
         v = periodized_eval(2, mp.mpf("2.25"))
         assert abs(v - (mp.mpf(1) / 16 - mp.mpf(1) / 4 + mp.mpf(1) / 6)) < 1e-35
-
-
-def test_l1_norms():
-    assert bernoulli_l1_norm(0) == 1.0
-    assert bernoulli_l1_norm(1) == 0.25
-    # |B_2| integrates to sqrt(3)/27 on [0,1] (roots at 1/2 +- 1/(2 sqrt 3))
-    assert bernoulli_l1_norm(2) == pytest.approx(3 ** 0.5 / 27, abs=1e-10)
-
-
-def _reference_l1_norm(n):
-    # sum of |B_{n+1}(v) - B_{n+1}(u)|/(n+1) over the pieces of [0,1] cut at
-    # the real roots of B_n, all at 50 digits
-    with mp.workdps(50):
-        def desc(k):
-            return [mp.mpf(c.numerator) / c.denominator
-                    for c in reversed(bernoulli_coeffs(k))]
-        roots = mp.polyroots(desc(n), maxsteps=200, extraprec=200) if n else []
-        cuts = sorted([mp.mpf(0), mp.mpf(1)]
-                      + [mp.re(z) for z in roots
-                         if abs(mp.im(z)) < mp.mpf(10) ** -40 and 0 < mp.re(z) < 1])
-        vals = [mp.polyval(desc(n + 1), t) for t in cuts]
-        return sum(abs(v - u) for u, v in zip(vals, vals[1:])) / (n + 1)
-
-
-def test_l1_norms_match_antiderivative_reference():
-    for n in range(17):
-        ref = _reference_l1_norm(n)
-        assert abs(bernoulli_l1_norm(n) - ref) <= 1e-12 * ref, n
-
-
-def test_l1_norms_odd_degree_are_rational():
-    assert bernoulli_l1_norm(3) == 1 / 32
-    assert bernoulli_l1_norm(5) == 1 / 64
-    # roots 0, 1/2, 1 and B_{n+1}(1/2) = (2^-n - 1) B_{n+1}(0)
-    for n in range(1, 64, 2):
-        b = bernoulli_coeffs(n + 1)[0]
-        exact = 2 * abs(b) * (2 - Fraction(1, 2 ** n)) / (n + 1)
-        assert bernoulli_l1_norm(n) == float(exact), n
 
 
 def test_eb_expand_exact_cases():

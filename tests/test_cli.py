@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from betaop import (BetaParams, PiecewisePoly, Polynomial, builtin,
-                    make_u_tilde, quadnum_from_string)
+                    epsilon_of, make_u_tilde, quadnum_from_string)
 from betaop.cli import main
 
 GOLDEN = BetaParams(1, 1)
@@ -239,11 +239,31 @@ def test_module_entry_point_matches_main(capsys):
     assert bad.returncode == 2
 
 
-def test_eigen_check_other_nu_is_a_usage_error(capsys):
-    assert run(["eigen-check", "--a0", "2", "--a1", "1", "--nu", "3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "only at nu = 2" in captured.err
-    assert run(["eigen-check", "--a0", "2", "--a1", "1", "--nu", "2"]) == 0
+def test_eigen_check_has_no_nu_option(capsys):
+    # the checks exist only at nu = 2, so nu is a constant of the report
+    for nu in ("2", "3"):
+        assert run(["eigen-check", "--a0", "2", "--a1", "1", "--nu", nu]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --nu" in captured.err
+    assert run(["eigen-check", "--a0", "2", "--a1", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["nu"] == 2
+
+
+def test_asymptotics_default_N_is_the_least_the_threshold_admits(tmp_path, capsys):
+    for a0 in range(1, 6):
+        for a1 in range(1, a0 + 1):
+            target = tmp_path / ("%d-%d.csv" % (a0, a1))
+            assert run(["asymptotics", "--a0", str(a0), "--a1", str(a1), "--F", "linear",
+                        "--k-max", "8", "--output", str(target)]) == 0, (a0, a1)
+            manifest = json.loads((tmp_path / (target.name + ".manifest.json")).read_text())
+            assert manifest["parameters"]["N"] == epsilon_of(BetaParams(a0, a1)).N
+    argv = ["asymptotics", "--a0", "1", "--a1", "1", "--F", "linear", "--k-max", "14"]
+    assert run(argv) == 0
+    default = capsys.readouterr().out
+    assert run([*argv, "--N", "7"]) == 0 and capsys.readouterr().out == default
+    # an explicit N at or below the threshold stays a usage error
+    assert run(["asymptotics", "--a0", "3", "--a1", "2", "--N", "9"]) == 2
+    assert "N=9 is at or below the threshold 9.603576" in capsys.readouterr().err
 
 
 def _write_json(tmp_path, f: PiecewisePoly) -> str:
@@ -278,8 +298,16 @@ def test_piecewise_json_field_mismatch_is_a_usage_error(tmp_path, capsys, argv):
      "'breakpoints' must be a list of strings"),
     ({"a0": 1, "a1": 1, "breakpoints": ["0", "1"], "pieces": "1"},
      "each piece must be a list of strings"),
+    # Fraction raises ZeroDivisionError on "1/0", and a bool is an int
+    ({"a0": 1, "a1": 1, "breakpoints": ["0", "1/0", "1"], "pieces": [["1"], ["2"]]},
+     "Fraction(1, 0)"),
+    ({"a0": 1, "a1": 1, "breakpoints": ["0", "1"], "pieces": [["1/0"]]},
+     "Fraction(1, 0)"),
+    ({"a0": True, "a1": 1, "breakpoints": ["0", "1"], "pieces": [["1"]]},
+     "a0 and a1 must be integers"),
 ], ids=["list", "a0-string", "number-coefficient", "no-breakpoints",
-        "string-breakpoints", "string-pieces"])
+        "string-breakpoints", "string-pieces", "zero-denominator-breakpoint",
+        "zero-denominator-coefficient", "a0-bool"])
 def test_malformed_piecewise_json_is_a_usage_error(tmp_path, capsys, doc, detail):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(doc))
@@ -449,7 +477,8 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-# SHA-256 of stdout, recorded before the commands shared one output path
+# SHA-256 of stdout. The first seven were recorded before the commands shared
+# one output path, the last three before test-only code left the package.
 EXACT_OUTPUT_DIGESTS = [
     (["eigen-check", "--a0", "2", "--a1", "1"],
      "779ed9959c60d2b6341657481a60114a24f69224e4cd66a969effea486103a83"),
@@ -465,6 +494,13 @@ EXACT_OUTPUT_DIGESTS = [
      "72fd069a37263ed6715b70b53f488a359dbb05aa88717d54944071243e211996"),
     (["bernoulli-table", "--n-max", "10", "--out", "json"],
      "6cff5e2f7d2953641747f36b91c872c9c2d9215da1ac294031b1826d9ab6f6ae"),
+    (["asymptotics", "--a0", "1", "--a1", "1", "--F", "linear", "--k-max", "14"],
+     "0dba10a868fa2c4e632705f02ffd2644b9d6fb97e022704c48d20f5ad66791fe"),
+    (["asymptotics", "--a0", "1", "--a1", "1", "--F", "linear", "--k-max", "14",
+      "--out", "json"],
+     "2d51696598386a9129e77b4f1a6a274b5f97c7ae0ec9d761c3b2e3d440cb1175"),
+    (["iterate", "--a0", "1", "--a1", "1", "--F", "cubic", "--k", "6"],
+     "20dad2aa26309a147e74edd30b2b47f46fa00ec8052261446d7e2191b7c1a677"),
 ]
 
 

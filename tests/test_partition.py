@@ -66,14 +66,6 @@ def test_point_recursion_from_words():
         assert depth == gap.depth
 
 
-def test_locate():
-    part = refine_to_level(GOLDEN, 3)
-    for i, gap in enumerate(part.gaps):
-        assert part.locate(gap.value) == i
-        mid = gap.value + gap.gap_length() * Fraction(1, 2)
-        assert part.locate(mid) == i
-
-
 def test_building_block_golden_s1():
     binv = GOLDEN.beta().inverse()
     gap = PartitionPoint((1, 1), (0, 0), GOLDEN.zero())
