@@ -90,11 +90,10 @@ def _load_function(args):
     must be over the field that --a0/--a1 name."""
     if not args.piecewise_json:
         return builtin(args.F)
-    with open(args.piecewise_json) as fh:
-        doc = json.load(fh)
     try:
-        F = PiecewisePoly.from_json_dict(doc)
-    except (TypeError, AttributeError, ZeroDivisionError) as exc:
+        with open(args.piecewise_json) as fh:
+            F = PiecewisePoly.from_json_dict(json.load(fh))
+    except (TypeError, AttributeError, ValueError) as exc:
         raise ValueError("--piecewise-json %s is malformed: %s"
                          % (args.piecewise_json, exc)) from None
     if F.params != _params(args):

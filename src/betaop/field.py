@@ -10,6 +10,7 @@ floats.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -371,23 +372,18 @@ def affine_horner(num, den: int, scale: QuadNum, shift: QuadNum,
     return acc, den
 
 
+# "p", "p+q*beta" or "p-q*beta" as QuadNum.to_string writes them, or "q*beta"
+_QUADNUM = re.compile(r"([+-]?{0})(?:([+-]{0})\*beta)?|([+-]?{0})\*beta".format(
+    r"[0-9]+(?:/[0-9]+)?"))  # p and q: an integer or a/b
+
+
 def quadnum_from_string(text: str, params: BetaParams) -> QuadNum:
-    """Parse the output of QuadNum.to_string."""
-    text = text.strip()
-    if "beta" not in text:
-        return QuadNum(Fraction(text), 0, params)
-    head, tail = text.split("*beta")
-    if tail:
-        raise ValueError("malformed QuadNum string: %r" % text)
-    # split head into rational part and beta coefficient at the last +/- that
-    # is not a leading sign or part of a fraction
-    for i in range(len(head) - 1, 0, -1):
-        if head[i] in "+-" and head[i - 1] not in "+-/":
-            p_part = head[:i]
-            q_part = head[i] + head[i + 1:]
-            break
-    else:
-        p_part, q_part = "0", head
-    if q_part in ("+", "-"):
-        q_part += "1"
-    return QuadNum(Fraction(p_part), Fraction(q_part), params)
+    """Parse the output of QuadNum.to_string, or a bare "q*beta"; anything
+    else raises ValueError."""
+    match = _QUADNUM.fullmatch(text.strip())
+    if match is None:
+        raise ValueError("malformed Q(beta) string %r" % text)
+    try:  # the groups: p, q after p, and a bare q
+        return QuadNum(Fraction(match[1] or 0), Fraction(match[2] or match[3] or 0), params)
+    except ZeroDivisionError as exc:  # "1/0"
+        raise ValueError(str(exc)) from None

@@ -182,8 +182,7 @@ def lemmacrux_check(params: BetaParams, M: int, s_max: int) -> LemmaCruxReport:
         for _ in range(gap.k_word[0]):
             f = apply_transfer(f)
         tail = _tail_gap(gap)
-        target = (building_block(tail, s) if tail.k_word
-                  else bernoulli_piecewise(params, s))
+        target = building_block(tail, s)  # the empty word's block is B_s on [0,1]
         if not f.equal_ae(target) or not verify(tail, s, target):
             return False
         verified.add(key)

@@ -12,7 +12,8 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, zip_longest
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .field import BetaParams, QuadNum, _make, affine_horner, quad_float, quadnum_from_string
@@ -74,11 +75,7 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if other.params is not self.params and other.params != self.params:
             raise ValueError("adding polynomials over different fields")
-        d, od, g = self.den, other.den, math.gcd(self.den, other.den)
-        m, om = od // g, d // g  # d * m = od * om = lcm(d, od)
-        return _new()._reduce([(u * m + x * om, v * m + y * om) for (u, v), (x, y)
-                               in zip_longest(self.num, other.num, fillvalue=(0, 0))],
-                              d * m, self.params)
+        return _polynomial_sum((self, other), self.params)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scaled(QuadNum(-1, 0, self.params))
@@ -124,6 +121,23 @@ class Polynomial:
 
 
 _new = partial(object.__new__, Polynomial)  # an empty instance for _reduce to fill
+
+
+def _polynomial_sum(polys: Sequence[Polynomial], params: BetaParams) -> Polynomial:
+    """The sum of polynomials over params, with one lcm and one gcd; a lone
+    non-zero term is returned as it is."""
+    polys = [p for p in polys if p.num]
+    if len(polys) < 2:
+        return polys[0] if polys else Polynomial.zero(params)
+    den = math.lcm(*(p.den for p in polys))
+    width = max(len(p.num) for p in polys)
+    us, vs = [0] * width, [0] * width
+    for p in polys:
+        m = den // p.den
+        for i, (u, v) in enumerate(p.num):
+            us[i] += u * m
+            vs[i] += v * m
+    return _new()._reduce(list(zip(us, vs)), den, params)
 
 
 def _merged(bps: Sequence[QuadNum], pcs: Sequence[Polynomial]):
@@ -236,29 +250,10 @@ class PiecewisePoly:
         mid = (a + b) * Fraction(1, 2)
         return self.pieces[self._piece_index(mid)]
 
-    def _zip_pieces(self, other: "PiecewisePoly"):
-        """Merged breakpoints plus, per merged interval, the pair of piece
-        indices covering it, by a single linear walk (no binary searches)."""
-        bps = [self.breakpoints[0]]
-        pairs = []
-        i = j = 0
-        while True:
-            an = self.breakpoints[i + 1]
-            bn = other.breakpoints[j + 1]
-            s = 0 if an == bn else (-1 if an < bn else 1)
-            pairs.append((i, j))
-            bps.append(an if s <= 0 else bn)
-            if s <= 0:
-                i += 1
-            if s >= 0:
-                j += 1
-            if i == len(self.pieces) and j == len(other.pieces):
-                return bps, pairs
-
     def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        bps, pairs = self._zip_pieces(other)
-        pcs = [self.pieces[i] + other.pieces[j] for i, j in pairs]
-        return PiecewisePoly._trusted(self.params, *_merged(bps, pcs))
+        if other.params is not self.params and other.params != self.params:
+            raise ValueError("adding functions over different fields")
+        return _piecewise_sum((self, other), self.params)
 
     def __sub__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         return self + other.scaled(QuadNum(-1, 0, self.params))
@@ -271,7 +266,8 @@ class PiecewisePoly:
         return PiecewisePoly._trusted(self.params, self.breakpoints, pcs)
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.pieces)
+        # in canonical form the zero function is the one with a single zero piece
+        return len(self.pieces) == 1 and not self.pieces[0].num
 
     def equal_ae(self, other: "PiecewisePoly") -> bool:
         """True iff self and other agree almost everywhere. The canonical form
@@ -403,7 +399,28 @@ def combine(terms: Sequence[tuple[QuadNum, PiecewisePoly]]) -> PiecewisePoly:
     """Exact linear combination sum(c_i * f_i) in canonical form."""
     if not terms:
         raise ValueError("need at least one term")
-    acc = terms[0][1].scaled(terms[0][0])
-    for c, f in terms[1:]:
-        acc = acc + f.scaled(c)
-    return acc
+    params = terms[0][1].params
+    if any(f.params != params for _, f in terms):
+        raise ValueError("combining functions over different fields")
+    return _piecewise_sum([f.scaled(c) for c, f in terms], params)
+
+
+def _piecewise_sum(terms: Sequence[PiecewisePoly], params: BetaParams) -> PiecewisePoly:
+    """The sum in canonical form of functions over params (not checked). Zero
+    terms drop out and a lone term is returned as it is; otherwise one walk over
+    all breakpoints in order adds the pieces over each interval of their union."""
+    terms = [f for f in terms if not f.is_zero()]
+    if len(terms) < 2:
+        return terms[0] if terms else PiecewisePoly.zero(params)
+    cuts = sorted(((b, t) for t, f in enumerate(terms) for b in f.breakpoints[1:-1]),
+                  key=itemgetter(0))
+    at = [0] * len(terms)  # at[t]: the piece of term t on the current interval
+    bps, pcs = [params.zero()], []
+    for b, t in cuts:
+        if b != bps[-1]:  # b closes the interval that starts at bps[-1]
+            pcs.append(_polynomial_sum([f.pieces[i] for f, i in zip(terms, at)], params))
+            bps.append(b)
+        at[t] += 1
+    pcs.append(_polynomial_sum([f.pieces[-1] for f in terms], params))
+    bps.append(params.one())
+    return PiecewisePoly._trusted(params, *_merged(bps, pcs))

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .field import BetaParams, QuadNum
-from .piecewise import PiecewisePoly
+from .piecewise import PiecewisePoly, _piecewise_sum
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -20,27 +20,15 @@ class BudgetExceeded(RuntimeError):
     pieces, partition gaps or integer-base terms."""
 
 
-def _pullback_sum(f: PiecewisePoly, scale: QuadNum, shifts,
-                  factor: QuadNum | None) -> PiecewisePoly:
-    """Exact sum over the shifts of x -> factor * f(scale*x + shift) (factor
-    1 when None), in canonical form; pull-backs that come back as the zero
-    function are left out of the sum."""
-    acc = None
-    for shift in shifts:
-        term = f.compose_affine(scale, shift, factor)
-        if not term.is_zero():
-            acc = term if acc is None else acc + term
-    return PiecewisePoly.zero(f.params) if acc is None else acc
-
-
 def apply_transfer(f: PiecewisePoly) -> PiecewisePoly:
     """Exact (1/beta) * sum_{j=0}^{a0} f((x+j)/beta), in canonical form.
 
     The j = a0 branch is automatically supported only on [0, a1/beta]
     because f vanishes outside [0,1]. Branches whose image misses the support
-    of f come back as the zero function."""
+    of f come back as the zero function and drop out of the sum."""
     binv = f.params.power(-1)
-    return _pullback_sum(f, binv, _branch_shifts(f.params), binv)
+    return _piecewise_sum([f.compose_affine(binv, shift, binv)
+                           for shift in _branch_shifts(f.params)], f.params)
 
 
 @lru_cache(maxsize=None)
@@ -67,8 +55,8 @@ def apply_integer_transfer(f: PiecewisePoly, q: int) -> PiecewisePoly:
     if any(v for p in f.pieces for _, v in p.num):
         raise ValueError("integer-base operator needs rational coefficients")
     qinv = params.rational(Fraction(1, q))
-    shifts = (params.rational(Fraction(j, q)) for j in range(q))
-    return _pullback_sum(f, qinv, shifts, qinv)
+    return _piecewise_sum([f.compose_affine(qinv, params.rational(Fraction(j, q)), qinv)
+                           for j in range(q)], params)
 
 
 def pointwise_transfer_power(F, params: BetaParams, k: int, xs,

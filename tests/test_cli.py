@@ -305,9 +305,22 @@ def test_piecewise_json_field_mismatch_is_a_usage_error(tmp_path, capsys, argv):
      "Fraction(1, 0)"),
     ({"a0": True, "a1": 1, "breakpoints": ["0", "1"], "pieces": [["1"]]},
      "a0 and a1 must be integers"),
+    # the errors of the parser, of BetaParams and of the constructor name the file too
+    ({"a0": 1, "a1": 1, "breakpoints": ["0", "beta"], "pieces": [["1"]]},
+     "malformed Q(beta) string 'beta'"),
+    ({"a0": 1, "a1": 1, "breakpoints": ["0", "1"], "pieces": [["1+*beta"]]},
+     "malformed Q(beta) string '1+*beta'"),
+    ({"a0": 1, "a1": 1, "breakpoints": ["0", "1/2", "1/2", "1"],
+      "pieces": [["1"], ["2"], ["3"]]},
+     "breakpoints must be strictly increasing"),
+    ({"a0": 1, "a1": 1, "breakpoints": ["0", "1"], "pieces": [["1"], ["2"]]},
+     "need one piece per gap between breakpoints"),
+    ({"a0": 1, "a1": 2, "breakpoints": ["0", "1"], "pieces": [["1"]]},
+     "need a0 >= a1 >= 1, got a0=1 a1=2"),
 ], ids=["list", "a0-string", "number-coefficient", "no-breakpoints",
         "string-breakpoints", "string-pieces", "zero-denominator-breakpoint",
-        "zero-denominator-coefficient", "a0-bool"])
+        "zero-denominator-coefficient", "a0-bool", "bare-beta", "empty-beta-coefficient",
+        "repeated-breakpoint", "piece-count", "a0-below-a1"])
 def test_malformed_piecewise_json_is_a_usage_error(tmp_path, capsys, doc, detail):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(doc))
@@ -316,6 +329,18 @@ def test_malformed_piecewise_json_is_a_usage_error(tmp_path, capsys, doc, detail
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --piecewise-json %s is malformed: %s\n" % (path, detail)
+
+
+@pytest.mark.parametrize("text, detail", [
+    ('{"a0": 1,', "Expecting property name enclosed in double quotes: line 1 column 10 (char 9)"),
+    ("", "Expecting value: line 1 column 1 (char 0)"),
+])
+def test_piecewise_json_that_is_not_json_is_a_usage_error(tmp_path, capsys, text, detail):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    assert run(["iterate", "--a0", "1", "--a1", "1", "--piecewise-json", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --piecewise-json %s is malformed: %s\n" % (path, detail))
 
 
 @pytest.mark.parametrize("argv", [

@@ -177,6 +177,23 @@ def test_string_round_trip():
     assert quadnum_from_string("3/4", p) == QuadNum(Fraction(3, 4), 0, p)
 
 
+def test_string_parser_reads_bare_forms_and_names_what_it_refuses():
+    p = BetaParams(2, 1)
+    assert quadnum_from_string("3*beta", p) == QuadNum(0, 3, p)
+    assert quadnum_from_string("-1/2*beta", p) == QuadNum(0, Fraction(-1, 2), p)
+    assert quadnum_from_string(" 7 ", p) == QuadNum(7, 0, p)
+    for text in ("beta", "-beta", "1*beta*beta", "1+*beta", "1+-2*beta", "1.5", "",
+                 "1+2", "1_0", "beta*2"):
+        with pytest.raises(ValueError) as info:
+            quadnum_from_string(text, p)
+        assert str(info.value) == "malformed Q(beta) string %r" % text
+    # a zero denominator is a ValueError, with the message Fraction gives
+    for text in ("1/0", "1/0*beta", "1+1/0*beta"):
+        with pytest.raises(ValueError) as info:
+            quadnum_from_string(text, p)
+        assert str(info.value) == "Fraction(1, 0)"
+
+
 def test_unreduced_inputs_normalise_to_one_value():
     p = BetaParams(2, 1)
     x = QuadNum(Fraction(2, 4), Fraction(-6, 8), p)

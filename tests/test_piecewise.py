@@ -286,6 +286,48 @@ def test_piecewise_compose_affine_matches_eval(args):
         assert_pullback_matches(f, scale, shift, factor)
 
 
+@st.composite
+def sum_cases(draw):
+    """1-6 terms over one field, some replaced by the zero function, with a
+    coefficient each and an order to take them in."""
+    params, terms = draw(st.integers(1, 6).flatmap(same_field))
+    terms = [PiecewisePoly.zero(params) if draw(st.integers(0, 3)) == 0 else f
+             for f in terms]
+    coeffs = [draw(quadnums(params)) for _ in terms]
+    return params, terms, coeffs, draw(st.permutations(range(len(terms))))
+
+
+@settings(deadline=None)
+@given(sum_cases())
+def test_sum_is_canonical_exact_and_independent_of_order(case):
+    params, terms, coeffs, order = case
+    scaled = [f.scaled(c) for c, f in zip(coeffs, terms)]
+    total = combine(list(zip(coeffs, terms)))
+    chained = scaled[0]
+    for g in scaled[1:]:
+        chained = chained + g
+    for g in (total, chained):
+        again = PiecewisePoly(params, g.breakpoints, g.pieces)
+        assert again.breakpoints == g.breakpoints and again.pieces == g.pieces
+    assert chained.equal_ae(total)
+    union = sorted({b for f in terms for b in f.breakpoints})
+    for a, b in zip(union, union[1:]):
+        m = (a + b) * Fraction(1, 2)
+        assert total.eval(m) == sum((f.eval(m) for f in scaled), params.zero())
+    shuffled = combine([(coeffs[i], terms[i]) for i in order])
+    assert shuffled.breakpoints == total.breakpoints and shuffled.pieces == total.pieces
+    # a term from another field is an error, the zero function included
+    other = BetaParams(params.a0 + 1, params.a1)
+    for stranger in (PiecewisePoly.zero(other), PiecewisePoly.from_polynomial(
+            Polynomial.from_rationals([1], other))):
+        with pytest.raises(ValueError):
+            combine(list(zip(coeffs, terms)) + [(other.one(), stranger)])
+        with pytest.raises(ValueError):
+            total + stranger
+        with pytest.raises(ValueError):
+            stranger + total
+
+
 def test_polynomial_compose_affine_rejects_another_field():
     p = Polynomial.from_rationals([0, 1], GOLDEN)
     other = BetaParams(2, 1)
