@@ -385,5 +385,5 @@ def quadnum_from_string(text: str, params: BetaParams) -> QuadNum:
         raise ValueError("malformed Q(beta) string %r" % text)
     try:  # the groups: p, q after p, and a bare q
         return QuadNum(Fraction(match[1] or 0), Fraction(match[2] or match[3] or 0), params)
-    except ZeroDivisionError as exc:  # "1/0"
-        raise ValueError(str(exc)) from None
+    except ZeroDivisionError:  # "1/0"
+        raise ValueError("malformed Q(beta) string %r: zero denominator" % text) from None

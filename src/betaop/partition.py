@@ -61,7 +61,7 @@ class LevelPartition:
 
 
 def refine_to_level(params: BetaParams, M: int) -> LevelPartition:
-    """Split [0,1] recursively: each gap of depth L < M is replaced by a0
+    """Split [0,1] repeatedly: each gap of depth L < M is replaced by a0
     subgaps of depth L+1 and a1 subgaps of depth L+2 (a scaled copy of the
     first layer). The result has gap depths in {M, M+1} exactly."""
     if M < 1:
@@ -77,17 +77,16 @@ def refine_to_level(params: BetaParams, M: int) -> LevelPartition:
     offsets = [{(k, j): params.power(-depth) * first_layer_point(params, k, j)
                 for k, j in layer} for depth in range(M)]
 
-    def split(k_word, j_word, value, depth):
+    # depth-first with an explicit stack; children pushed in reverse pop in gap order
+    stack = [((), (), params.zero(), 0)]
+    while stack:
+        k_word, j_word, value, depth = stack.pop()
         if depth >= M:
             gaps.append(PartitionPoint(k_word, j_word, value))
-            return
+            continue
         off = offsets[depth]
-        for j in range(params.a0):
-            split(k_word + (1,), j_word + (j,), value + off[(1, j)], depth + 1)
-        for j in range(params.a1):
-            split(k_word + (2,), j_word + (j,), value + off[(2, j)], depth + 2)
-
-    split((), (), params.zero(), 0)
+        for k, j in reversed(layer):
+            stack.append((k_word + (k,), j_word + (j,), value + off[(k, j)], depth + k))
     return LevelPartition(params=params, M=M, gaps=gaps)
 
 
@@ -137,61 +136,61 @@ def intermediate_check(params: BetaParams, s: int) -> bool:
     onto the depth-1 block with the same j, for every admissible j."""
     for j in range(params.a1):
         g2 = PartitionPoint((2,), (j,), first_layer_point(params, 2, j))
-        g1 = PartitionPoint((1,), (j,), first_layer_point(params, 1, j))
-        if not apply_transfer(building_block(g2, s)).equal_ae(building_block(g1, s)):
+        if not apply_transfer(building_block(g2, s)).equal_ae(building_block(_successor(g2), s)):
             return False
     return True
 
 
-def _tail_gap(gap: PartitionPoint) -> PartitionPoint:
-    """The gap addressed by dropping the first letter: its left endpoint is
-    beta^{k_1} (t - t(k_1, j_1))."""
+def _successor(gap: PartitionPoint) -> PartitionPoint:
+    """The gap that T(x) = beta*x - floor(beta*x) maps this gap onto, one
+    level shallower: (1, j)+u goes to u and (2, j)+u to (1, j)+u. Its left
+    endpoint is beta*t - j_1, or beta*t - a0 for a first letter 2."""
     params = gap.value.params
     k1, j1 = gap.k_word[0], gap.j_word[0]
-    value = (gap.value - first_layer_point(params, k1, j1)) * params.power(k1)
-    return PartitionPoint(gap.k_word[1:], gap.j_word[1:], value)
+    value = gap.value * params.power(1) - (j1 if k1 == 1 else params.a0)
+    if k1 == 1:
+        return PartitionPoint(gap.k_word[1:], gap.j_word[1:], value)
+    return PartitionPoint((1,) + gap.k_word[1:], gap.j_word, value)
 
 
 def lemmacrux_check(params: BetaParams, M: int, s_max: int) -> LemmaCruxReport:
-    """Exact verification of the collapse identity on every gap of the
-    level-M partition, for all s <= s_max.
+    """Exact verification of the collapse identity P^{|k|} G = B_s on [0,1]
+    for every gap of the level-M partition and all s <= s_max.
 
-    Each gap is verified by applying the operator k_1 times and comparing
-    exactly against the building block of its tail gap, which is verified
-    recursively (with memoization across gaps that share suffixes). Since
-    every comparison is an exact piecewise identity, composing the stages
-    proves P^{|k|} G = B_s on [0,1] for the full word."""
+    Each gap is followed along its orbit g, T g, T^2 g, ... under the
+    beta-map (`_successor`), one level per step, down to the empty word,
+    whose block is B_s on [0,1]. A step is the exact piecewise identity
+    P block(g) = block(T g): only one branch of the operator meets a block.
+    The chain of steps proves the identity for g. A walk stops early at a
+    word whose chain is already proven, so every block is built once per
+    call and, while the steps hold, every word gets one transfer. A failing
+    step records a failure for the starting gap and proves nothing on its
+    walk."""
     if M > 6:
         raise ValueError("M must be <= 6 (piece-count budget)")
     if s_max > 4:
         raise ValueError("s_max must be <= 4 (piece-count budget)")
     partition = refine_to_level(params, M)
     failures = []
-    checked = 0
+    blocks: dict[tuple, PiecewisePoly] = {}  # (k_word, j_word, s) -> building block
     verified: set[tuple] = set()
-
-    def verify(gap: PartitionPoint, s: int, block=None) -> bool:
-        # block: the gap's building block, when the caller has built it
-        key = (gap.k_word, gap.j_word, s)
-        if key in verified:
-            return True
-        if not gap.k_word:
-            verified.add(key)
-            return True
-        f = building_block(gap, s) if block is None else block
-        for _ in range(gap.k_word[0]):
-            f = apply_transfer(f)
-        tail = _tail_gap(gap)
-        target = building_block(tail, s)  # the empty word's block is B_s on [0,1]
-        if not f.equal_ae(target) or not verify(tail, s, target):
-            return False
-        verified.add(key)
-        return True
-
     for gap in partition.gaps:
         for s in range(s_max + 1):
-            checked += 1
-            if not verify(gap, s):
-                failures.append(BlockCheckFailure(gap.k_word, gap.j_word, s))
+            walk = []
+            g, key = gap, (gap.k_word, gap.j_word, s)
+            while g.k_word and key not in verified:
+                nxt = _successor(g)
+                nxt_key = (nxt.k_word, nxt.j_word, s)
+                if key not in blocks:
+                    blocks[key] = building_block(g, s)
+                if nxt_key not in blocks:
+                    blocks[nxt_key] = building_block(nxt, s)
+                if not apply_transfer(blocks[key]).equal_ae(blocks[nxt_key]):
+                    failures.append(BlockCheckFailure(gap.k_word, gap.j_word, s))
+                    break
+                walk.append(key)
+                g, key = nxt, nxt_key
+            else:
+                verified.update(walk)
     return LemmaCruxReport(params=params, M=M, s_max=s_max,
-                           checked=checked, failures=failures)
+                           checked=len(partition.gaps) * (s_max + 1), failures=failures)

@@ -300,9 +300,9 @@ def test_piecewise_json_field_mismatch_is_a_usage_error(tmp_path, capsys, argv):
      "each piece must be a list of strings"),
     # Fraction raises ZeroDivisionError on "1/0", and a bool is an int
     ({"a0": 1, "a1": 1, "breakpoints": ["0", "1/0", "1"], "pieces": [["1"], ["2"]]},
-     "Fraction(1, 0)"),
+     "malformed Q(beta) string '1/0': zero denominator"),
     ({"a0": 1, "a1": 1, "breakpoints": ["0", "1"], "pieces": [["1/0"]]},
-     "Fraction(1, 0)"),
+     "malformed Q(beta) string '1/0': zero denominator"),
     ({"a0": True, "a1": 1, "breakpoints": ["0", "1"], "pieces": [["1"]]},
      "a0 and a1 must be integers"),
     # the errors of the parser, of BetaParams and of the constructor name the file too

@@ -1,6 +1,7 @@
 """Level partitions of [0,1], gap-length law, rescaled building blocks, and
 the exact collapse of blocks under powers of the transfer operator."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,10 @@ from betaop import (BetaParams, BudgetExceeded, PartitionPoint, apply_transfer,
                     bernoulli_piecewise, building_block, collapse_check,
                     first_layer_point, intermediate_check, lemmacrux_check,
                     refine_to_level)
+from betaop.partition import _successor
 
 GOLDEN = BetaParams(1, 1)
+ALL_PARAMS_5 = [BetaParams(a0, a1) for a0 in range(1, 6) for a1 in range(1, a0 + 1)]
 
 
 def test_first_layer_points():
@@ -52,18 +55,21 @@ def test_gap_law_and_total_length():
                 assert (prev - 1).is_zero()
 
 
+def word_point(params, gap):
+    """The left endpoint and depth that the gap's (k, j) words address."""
+    binv = params.beta().inverse()
+    acc, depth = params.zero(), 0
+    for k, j in zip(gap.k_word, gap.j_word):
+        acc = acc + binv ** depth * first_layer_point(params, k, j)
+        depth += k
+    return acc, depth
+
+
 def test_point_recursion_from_words():
     params = BetaParams(3, 2)
-    binv = params.beta().inverse()
     part = refine_to_level(params, 4)
     for gap in part.gaps[::7]:
-        acc = params.zero()
-        depth = 0
-        for k, j in zip(gap.k_word, gap.j_word):
-            acc = acc + binv ** depth * first_layer_point(params, k, j)
-            depth += k
-        assert (acc - gap.value).is_zero()
-        assert depth == gap.depth
+        assert word_point(params, gap) == (gap.value, gap.depth)
 
 
 def test_building_block_golden_s1():
@@ -105,6 +111,59 @@ def test_lemmacrux_small():
     assert rep.checked == len(refine_to_level(GOLDEN, 3).gaps) * 3
     rep2 = lemmacrux_check(BetaParams(2, 2), 2, 1)
     assert rep2.passed and not rep2.failures
+
+
+def test_successor_is_the_beta_map_one_level_up():
+    for params in ALL_PARAMS_5:
+        for M in range(1, 5):
+            for gap in refine_to_level(params, M).gaps:
+                nxt = _successor(gap)
+                bt = gap.value * params.beta()
+                assert nxt.value == bt - bt.floor()
+                assert nxt.depth == gap.depth - 1
+                assert word_point(params, nxt) == (nxt.value, nxt.depth)
+
+
+@pytest.mark.parametrize("a0,a1", [(1, 1), (2, 1), (2, 2), (3, 2)])
+def test_orbit_walk_agrees_with_the_full_power(a0, a1):
+    params = BetaParams(a0, a1)
+    for M in range(1, 4):
+        rep = lemmacrux_check(params, M, 2)
+        failed = {(f.k_word, f.j_word, f.s) for f in rep.failures}
+        for gap in refine_to_level(params, M).gaps:
+            for s in range(3):
+                assert collapse_check(gap, s) == ((gap.k_word, gap.j_word, s) not in failed)
+
+
+@pytest.mark.parametrize("args,blocks", [((2, 1, 3, 3), 100), ((3, 2, 2, 3), 84),
+                                         ((2, 1, 1, 3), 16)])
+def test_lemmacrux_builds_each_block_once(monkeypatch, args, blocks):
+    import betaop.partition as partition
+    calls = {"block": 0, "transfer": 0}
+
+    def counted(name, fn):
+        def wrapper(*a):
+            calls[name] += 1
+            return fn(*a)
+        return wrapper
+    monkeypatch.setattr(partition, "building_block", counted("block", building_block))
+    monkeypatch.setattr(partition, "apply_transfer", counted("transfer", apply_transfer))
+    a0, a1, M, s_max = args
+    assert lemmacrux_check(BetaParams(a0, a1), M, s_max).passed
+    # one block per distinct (word, s); one transfer per non-empty word
+    assert calls["block"] == blocks
+    assert calls["transfer"] == blocks - (s_max + 1)
+
+
+def test_partition_and_lemmacrux_leave_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        lemmacrux_check(BetaParams(2, 1), 3, 3)
+        refine_to_level(BetaParams(2, 1), 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_verifiers_fail_on_a_perturbed_operator(monkeypatch):
