@@ -9,6 +9,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from statistics import linear_regression
 
 from .bernoulli import eb_expand
@@ -20,6 +21,7 @@ from .transfer import BudgetExceeded, apply_transfer, pointwise_transfer_power
 
 NOISE_FLOOR_RATIO = 1e-12
 FIT_SKIP = 5  # entries with k <= FIT_SKIP are excluded from slope fits
+PIECE_BUDGET = 10 ** 6  # two_term_residual_exact refuses residuals with more pieces
 
 
 @dataclass
@@ -64,36 +66,39 @@ class TheoremParams:
 
 def epsilon_of(params: BetaParams, N: int | None = None) -> TheoremParams:
     """The contraction exponent epsilon for a given smoothness order N,
-    together with the threshold that N must exceed. N None takes the least N
-    that passes both checks below: at a1 = 1 the threshold is exactly 6, and
-    its float may round below 6, where epsilon is then 0."""
+    together with the threshold 3 ln(beta^2/a1) / ln(beta/a1) that N must
+    exceed. Whether N exceeds it is decided exactly: the inequality is
+    beta^(N-6) > a1^(N-3) with N > 6, and it is also the condition for
+    epsilon > 0. The float threshold is within a few a0 ulps of the true
+    one, so only an N that near it needs the exact powers. N None takes the
+    least admitted N; at a1 = 1 the threshold is exactly 6, though its float
+    may read 5.999999999999999."""
     b = params.beta_float()
     a1 = params.a1
     threshold = 3 * math.log(b * b / a1) / math.log(b / a1)
 
-    def eps(n):
-        return min(3.0 / n,
-                   (-(3.0 / n) * math.log(b * b / a1) + math.log(b / a1)) / math.log(b))
+    def admitted(n):
+        if abs(n - threshold) > 1e-12 * params.a0 * threshold:
+            return n > threshold
+        return n > 6 and params.power(n - 6) > a1 ** (n - 3)
 
     if N is None:
-        N = math.floor(threshold) + 1
-        while eps(N) <= 0:
-            N += 1
-    if N <= threshold:
+        N = next(n for n in count(max(7, math.floor(threshold))) if admitted(n))
+    elif not admitted(N):
         raise ValueError("N=%d is at or below the threshold %.6f" % (N, threshold))
-    if eps(N) <= 0:
-        raise ValueError("epsilon is non-positive; raise N")
-    return TheoremParams(N=N, epsilon=eps(N), N_min_bound=threshold)
+    epsilon = min(3.0 / N,
+                  (-(3.0 / N) * math.log(b * b / a1) + math.log(b / a1)) / math.log(b))
+    return TheoremParams(N=N, epsilon=epsilon, N_min_bound=threshold)
 
 
-def two_term_residual_exact(F: PiecewisePoly, k_max: int, terms: int = 2,
-                            piece_budget: int = 10 ** 6) -> ResidualSeries:
+def two_term_residual_exact(F: PiecewisePoly, k_max: int,
+                            terms: int = 2) -> ResidualSeries:
     """Float sup-norm brackets of R_k, P^k F minus its expansion, for k = 1..k_max
     (exact engine, but the bracket is not certified: ROADMAP.md item 1).
 
     terms=2 subtracts u1*integral(F) and beta^-k * u3 * (F(1)-F(0))/4;
     terms=1 subtracts only the invariant part. The exact residual is iterated
-    itself, R_k = P R_{k-1}, and piece_budget bounds the pieces of R_k; for
+    itself, R_k = P R_{k-1}, and PIECE_BUDGET bounds the pieces of R_k; for
     polynomial F that is the piece count of P^k F."""
     if terms not in (1, 2):
         raise ValueError("terms must be 1 or 2")
@@ -109,7 +114,7 @@ def two_term_residual_exact(F: PiecewisePoly, k_max: int, terms: int = 2,
     ks, lows, ups = [], [], []
     for k in range(1, k_max + 1):
         resid = apply_transfer(resid)
-        if len(resid.pieces) > piece_budget:
+        if len(resid.pieces) > PIECE_BUDGET:
             raise BudgetExceeded("piece budget exceeded at k=%d" % k)
         lo, up = resid.sup_norm_bracket()
         ks.append(k)

@@ -43,7 +43,8 @@ class BetaParams:
         return _beta_power(self, n)
 
     def beta_float(self) -> float:
-        return (self.a0 + math.sqrt(self.disc)) / 2.0
+        """beta rounded to the nearest float."""
+        return float(self.power(1))
 
     def one(self) -> "QuadNum":
         return QuadNum(1, 0, self)

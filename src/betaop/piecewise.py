@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 from .field import BetaParams, QuadNum, _make, affine_horner, quad_float, quadnum_from_string
 
 DEGREE_CAP = 64
+SAMPLES_PER_PIECE = 32  # Chebyshev samples per piece in sup_norm_bracket
 
 
 class Polynomial:
@@ -340,14 +341,13 @@ class PiecewisePoly:
         n = len(self.pieces)
         return [horner(coeffs[bisect_right(bps, x, 1, n) - 1], x) for x in map(float, xs)]
 
-    def sup_norm_bracket(self, samples_per_piece: int = 32) -> tuple[float, float]:
-        """Float bracket (lower, upper) for the sup norm: max |f| over Chebyshev
-        samples and endpoint limits per piece, plus a bound on |f'| times half the
-        largest sample gap. Not certified: rounding is unaccounted (ROADMAP.md item 1)."""
-        if samples_per_piece < 2:
-            raise ValueError("samples_per_piece must be >= 2")
+    def sup_norm_bracket(self) -> tuple[float, float]:
+        """Float bracket (lower, upper) for the sup norm: max |f| over
+        SAMPLES_PER_PIECE Chebyshev samples and the endpoint limits per piece,
+        plus a bound on |f'| times half the largest sample gap. Not certified:
+        rounding is unaccounted (ROADMAP.md item 1)."""
         lower = upper_slack = 0.0
-        theta = _chebyshev_nodes(samples_per_piece)
+        theta = _chebyshev_nodes(SAMPLES_PER_PIECE)
         for a, b, p in zip(self.breakpoints, self.breakpoints[1:], self.pieces):
             if p.is_zero():
                 continue

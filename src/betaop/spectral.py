@@ -7,7 +7,6 @@ with the three distinguished eigenfunctions u1, u2, u3 they encode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .bernoulli import bernoulli_polynomial
@@ -45,27 +44,21 @@ def mat_equal(a, b) -> bool:
 
 # -- psi basis ---------------------------------------------------------------
 
-def make_psi_basis(params: BetaParams, nu: int,
-                   normalized: bool = True) -> tuple[PiecewisePoly, ...]:
+def make_psi_basis(params: BetaParams, nu: int) -> tuple[PiecewisePoly, ...]:
     """The tuple psi_1, ..., psi_2nu: psi_{2s+1} = c_s B_s on [0,1] and
     psi_{2s+2} = c_s (beta/a1) B_s(beta x / a1) on [0, a1/beta], s < nu.
 
-    normalized=True divides by the L1 norm of B_s, which is 1 and 1/4 for
-    s <= 1 but irrational for s = 2; hence it requires nu <= 2."""
+    c_1 = 4 = 1/||B_1||_1, the paper's factor, and c_s = 1 otherwise, so
+    the basis for nu is the first 2nu functions of the basis for nu + 1."""
     if nu < 1:
         raise ValueError("nu must be >= 1")
-    if normalized and nu > 2:
-        raise ValueError("normalized basis requires nu <= 2 "
-                         "(the L1 norm of B_2 is irrational)")
     cut = params.power(-1) * params.a1
+    ratio = params.power(1) / params.a1
     funcs = []
     for s in range(nu):
         bs = bernoulli_polynomial(params, s)
-        factor = params.one()
-        if normalized:
-            factor = QuadNum(Fraction(4) if s == 1 else Fraction(1), 0, params)
+        factor = params.rational(4 if s == 1 else 1)
         odd = PiecewisePoly.from_polynomial(bs.scaled(factor))
-        ratio = params.power(1) / params.a1
         even_poly = bs.compose_affine(ratio, params.zero(), factor * ratio)
         even = PiecewisePoly.on_interval(even_poly, params.zero(), cut)
         funcs.extend([odd, even])
@@ -142,7 +135,7 @@ def sylvester_projections(m: Matrix, eigenvalues: list[QuadNum]) -> list[Matrix]
 
 @dataclass(frozen=True)
 class SpectralData:
-    """nu=2 spectral payload: the normalised 4x4 restriction matrix, its
+    """nu=2 spectral payload: the 4x4 restriction matrix on psi_1..psi_4, its
     eigenvalues, their Riesz projections and the eigenfunctions they encode."""
 
     params: BetaParams
@@ -159,7 +152,7 @@ def riesz_projections(params: BetaParams) -> SpectralData:
 
     u1, u2, u3 are the psi-combinations given by column 1 of Pi1, column 1
     of Pi2 and column 3 of Pi3."""
-    basis = make_psi_basis(params, 2, normalized=True)
+    basis = make_psi_basis(params, 2)
     matrix = restriction_matrix(basis)
     eigs = block_eigenvalues(params, 2)
     projections = sylvester_projections(matrix, eigs)

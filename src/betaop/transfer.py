@@ -12,7 +12,7 @@ from functools import lru_cache
 from .field import BetaParams, QuadNum
 from .piecewise import PiecewisePoly, _piecewise_sum
 
-DEFAULT_NODE_BUDGET = 10 ** 8
+NODE_BUDGET = 10 ** 8  # pointwise_transfer_power refuses larger preimage trees
 
 
 class BudgetExceeded(RuntimeError):
@@ -59,8 +59,7 @@ def apply_integer_transfer(f: PiecewisePoly, q: int) -> PiecewisePoly:
                            for j in range(q)], params)
 
 
-def pointwise_transfer_power(F, params: BetaParams, k: int, xs,
-                             node_budget: int = DEFAULT_NODE_BUDGET):
+def pointwise_transfer_power(F, params: BetaParams, k: int, xs):
     """(P^k F)(x) by summing F over the depth-k inverse-branch tree.
 
     The branch (x+a0)/beta is admissible only while x <= a1/beta, the
@@ -69,7 +68,8 @@ def pointwise_transfer_power(F, params: BetaParams, k: int, xs,
     Since T(1) = a1/beta, the node 1 leads back to the cut through a float
     node off by up to an ulp, so the cut allows 4 ulps. Accepts a scalar or
     an array of sample points; evaluation across sample points is
-    embarrassingly parallel (vectorized).
+    embarrassingly parallel (vectorized). The tree may hold NODE_BUDGET
+    nodes over all its levels.
     """
     import numpy as np
     if k < 0:
@@ -78,7 +78,7 @@ def pointwise_transfer_power(F, params: BetaParams, k: int, xs,
     if isinstance(xs, QuadNum):
         xs = [float(xs)]
     pts = np.atleast_1d(np.asarray(xs, dtype=float))
-    if ((pts < 0) | (pts > 1)).any():
+    if not ((pts >= 0) & (pts <= 1)).all():  # a NaN fails both tests
         raise ValueError("sample points must lie in [0,1]")
     beta = params.beta_float()
     cut = float(params.power(-1) * params.a1) * (1 + 2.0 ** -50)
@@ -90,8 +90,8 @@ def pointwise_transfer_power(F, params: BetaParams, k: int, xs,
         adm = nodes <= cut
         n, size = len(nodes), params.a0 * len(nodes) + int(np.count_nonzero(adm))
         total_nodes += size
-        if total_nodes > node_budget:
-            raise BudgetExceeded("preimage tree exceeded %d nodes" % node_budget)
+        if total_nodes > NODE_BUDGET:
+            raise BudgetExceeded("preimage tree exceeded %d nodes" % NODE_BUDGET)
         level = np.empty(size)  # branch j = 0..a0 fills its slice with (x + j) / beta
         head = level[:params.a0 * n].reshape(params.a0, n)  # row j is branch j
         np.add(nodes, np.arange(params.a0)[:, None], out=head)
@@ -121,12 +121,11 @@ class GreedyDigits:
     digits: list[int]
     orbit: list[QuadNum]
 
-    def partial_sum(self, upto: int | None = None) -> QuadNum:
-        """sum_{i<upto} digits[i] * beta^-(i+1), exact."""
-        n = len(self.digits) if upto is None else upto
+    def partial_sum(self) -> QuadNum:
+        """sum_i digits[i] * beta^-(i+1) over all digits, exact."""
         params = self.x0.params
         acc = params.zero()
-        for i, d in enumerate(self.digits[:n]):
+        for i, d in enumerate(self.digits):
             acc = acc + params.power(-(i + 1)) * d
         return acc
 

@@ -70,8 +70,8 @@ def test_criterion_2_restriction_matrix_and_spectrum():
         m4 = restriction_matrix(basis)
         ok &= mat_equal(m4, display)
         # the closed-form eigenvalues annihilate the characteristic polynomial
-        # of each diagonal block of the computed unnormalised nu=4 matrix
-        m8 = restriction_matrix(make_psi_basis(params, 4, normalized=False))
+        # of each diagonal block of the computed nu=4 matrix
+        m8 = restriction_matrix(make_psi_basis(params, 4))
         eigs = block_eigenvalues(params, 4)
         for k in range(1, 5):
             r = 2 * (k - 1)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from betaop import (BetaParams, BudgetExceeded, PiecewisePoly, Polynomial, apply
                     lemmaPk_decomposition_check,
                     make_psi_basis, make_u_tilde, refine_to_level, two_term_residual_exact,
                     two_term_residual_numeric)
+import betaop.asymptotics as asymptotics
+import betaop.field as field
+import betaop.piecewise as piecewise
 from betaop.asymptotics import FIT_SKIP, NOISE_FLOOR_RATIO
 
 GOLDEN = BetaParams(1, 1)
@@ -34,7 +38,7 @@ def test_epsilon_examples():
 
 def test_epsilon_default_N_is_the_least_admitted():
     # at a1 = 1 the threshold is exactly 6; its float reads 5.999999999999999
-    # at (5, 1), where N = 6 gives epsilon 0 and is refused
+    # at (5, 1), where N = 6 is refused by the exact comparison
     for params in ALL_PARAMS_5:
         tp = epsilon_of(params)
         assert tp.epsilon > 0 and tp.N > tp.N_min_bound
@@ -44,6 +48,23 @@ def test_epsilon_default_N_is_the_least_admitted():
             assert tp.N == 7
     assert epsilon_of(BetaParams(3, 2)).N == 10
     assert epsilon_of(BetaParams(5, 5)).N == 37
+
+
+def test_epsilon_threshold_is_decided_exactly():
+    # the float threshold of (36, 1) reads 5.999999999999999, so a float
+    # comparison would admit N = 6 there with an epsilon of about 1e-16
+    for a0 in range(1, 60):
+        for a1 in range(1, a0 + 1):
+            params = BetaParams(a0, a1)
+            with pytest.raises(ValueError, match="at or below the threshold"):
+                epsilon_of(params, 6)
+            if a1 == 1:
+                tp = epsilon_of(params)
+                assert tp.N == 7 and tp.epsilon == pytest.approx(1 / 7, rel=1e-12)
+    # far from the threshold the float comparison decides, with no large power
+    with patch.object(field, "_beta_power", wraps=field._beta_power) as power:
+        assert epsilon_of(BetaParams(3, 2), 10 ** 6).N == 10 ** 6
+    assert all(abs(call.args[1]) <= 1 for call in power.call_args_list)
 
 
 def test_epsilon_scan_bounds():
@@ -62,7 +83,8 @@ def test_exact_residual_is_second_eigenterm():
     for params in (GOLDEN, BetaParams(3, 2)):
         psi1 = make_psi_basis(params, 2)[0]
         u2 = make_u_tilde(params)[1]
-        lo2, up2 = u2.sup_norm_bracket(128)
+        with patch.object(piecewise, "SAMPLES_PER_PIECE", 128):
+            lo2, up2 = u2.sup_norm_bracket()
         lam = params.a1 / params.beta_float() ** 2
         series = two_term_residual_exact(psi1, 8)
         for k, lo, up in zip(series.ks, series.residual_lower,
@@ -71,10 +93,11 @@ def test_exact_residual_is_second_eigenterm():
             assert up >= lam ** k * lo2 * (1 - 1e-12)
 
 
-def test_exact_residual_piece_budget():
+def test_exact_residual_piece_budget(monkeypatch):
     F = builtin("linear").piecewise(GOLDEN)  # 2 pieces after one step
+    monkeypatch.setattr(asymptotics, "PIECE_BUDGET", 1)
     with pytest.raises(BudgetExceeded):
-        two_term_residual_exact(F, 3, piece_budget=1)
+        two_term_residual_exact(F, 3)
 
 
 @st.composite

@@ -147,21 +147,16 @@ def test_integer_base_manifest_slope(tmp_path):
 
 def test_budget_exit_code(monkeypatch):
     # shrink the node budget so the exhaustion path triggers quickly
-    import betaop.asymptotics as asy
-    orig = asy.pointwise_transfer_power
-    monkeypatch.setattr(
-        asy, "pointwise_transfer_power",
-        lambda F, p, k, xs: orig(F, p, k, xs, node_budget=10 ** 5))
+    import betaop.transfer as transfer
+    monkeypatch.setattr(transfer, "NODE_BUDGET", 10 ** 5)
     assert run(["asymptotics", "--a0", "5", "--a1", "5", "--N", "40", "--F",
                 "exp-normalized", "--engine", "numeric",
                 "--k-max", "40"]) == 3
 
 
 def test_exact_budget_exit_code(monkeypatch):
-    import betaop.cli as cli
-    orig = cli.two_term_residual_exact
-    monkeypatch.setattr(cli, "two_term_residual_exact",
-                        lambda F, k_max: orig(F, k_max, piece_budget=1))
+    import betaop.asymptotics as asymptotics
+    monkeypatch.setattr(asymptotics, "PIECE_BUDGET", 1)
     assert run(["asymptotics", "--a0", "1", "--a1", "1", "--F", "linear",
                 "--k-max", "10"]) == 3
 

@@ -1,6 +1,7 @@
 """Exact arithmetic in Q(beta): field axioms, exact ordering, floors,
 decimal rendering, and string round-trips."""
 
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -151,6 +152,18 @@ def test_float_conversion_avoids_cancellation():
     assert float(x) == pytest.approx(p.beta_float(), rel=1e-15)
     tiny = p.beta().inverse() ** 80  # p, q are ~17-digit integers here
     assert float(tiny) == pytest.approx(p.beta_float() ** -80, rel=1e-13)
+
+
+def test_beta_float_is_the_correctly_rounded_beta():
+    # (a0 + sqrt(D))/2 in floats is an ulp off for 416 of these fields, (5, 3)
+    # among them; 60 digits then one rounding to float give the nearest float
+    ctx = decimal.Context(prec=60)
+    for a0 in range(1, 60):
+        for a1 in range(1, a0 + 1):
+            p = BetaParams(a0, a1)
+            beta = ctx.divide(ctx.add(a0, ctx.sqrt(p.disc)), 2)
+            assert p.beta_float() == float(beta) == float(p.beta()), (a0, a1)
+    assert BetaParams(5, 3).beta_float() == 5.54138126514911
 
 
 def test_params_mixing_is_hard_error():

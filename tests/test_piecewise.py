@@ -5,11 +5,13 @@ import json
 import math
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import betaop.piecewise as piecewise
 from betaop import (BetaParams, PiecewisePoly, Polynomial, QuadNum, apply_integer_transfer,
                     apply_transfer, combine, make_psi_basis, make_u_tilde)
 
@@ -155,27 +157,29 @@ def test_equal_ae_examples():
     assert not psi1.equal_ae(psi2)
 
 
-def test_sup_norm_bracket():
+def test_sup_norm_bracket(monkeypatch):
     psi3 = make_psi_basis(GOLDEN, 2)[2]
     lo, up = psi3.sup_norm_bracket()
     assert lo <= 2.0 <= up
-    lo, up = psi3.sup_norm_bracket(512)
-    assert up - lo < 0.05
     z = PiecewisePoly.zero(GOLDEN)
     assert z.sup_norm_bracket() == (0.0, 0.0)
     psi4 = make_psi_basis(GOLDEN, 2)[3]
     lo4, up4 = psi4.sup_norm_bracket()
     assert lo4 <= 2 * GOLDEN.beta_float() + 1e-12
     assert 2 * GOLDEN.beta_float() <= up4
+    monkeypatch.setattr(piecewise, "SAMPLES_PER_PIECE", 512)
+    lo, up = psi3.sup_norm_bracket()
+    assert up - lo < 0.05
 
 
-def test_sup_norm_bracket_shrinks():
+def test_sup_norm_bracket_shrinks(monkeypatch):
     rng = random.Random(99)
     for _ in range(20):
         f = rational_pw(rng, GOLDEN, max_pieces=3, max_deg=3)
         widths = []
         for n in (8, 16, 32, 64):
-            lo, up = f.sup_norm_bracket(n)
+            monkeypatch.setattr(piecewise, "SAMPLES_PER_PIECE", n)
+            lo, up = f.sup_norm_bracket()
             assert lo <= up
             widths.append(up - lo)
         assert all(b <= a + 1e-15 for a, b in zip(widths, widths[1:]))
@@ -597,7 +601,8 @@ def float_view_cases(draw):
 @settings(deadline=None, max_examples=150)
 @given(float_view_cases(), st.sampled_from([2, 3, 8, 32, 33, 128]))
 def test_sup_norm_bracket_is_bit_equal_to_the_numpy_bracket(f, samples):
-    assert f.sup_norm_bracket(samples) == numpy_sup_norm_bracket(f, samples)
+    with patch.object(piecewise, "SAMPLES_PER_PIECE", samples):
+        assert f.sup_norm_bracket() == numpy_sup_norm_bracket(f, samples)
 
 
 @settings(deadline=None, max_examples=150)

@@ -34,7 +34,7 @@ def expected_p4(params):
 
 def block_display(params, k):
     """The paper's display of the k-th 2x2 diagonal block of the restriction
-    matrix on the unnormalised basis."""
+    matrix on the psi basis."""
     return [
         [params.power(-k) * params.a0, params.rational(Fraction(1, params.a1 ** (k - 1)))],
         [params.power(-2 * k) * params.a1 ** k, params.zero()],
@@ -60,7 +60,7 @@ def mat_sum(ms):
 
 
 def display_projections(params):
-    """The paper's displays of Pi1, Pi2 and Pi3 for the normalised nu=2
+    """The paper's displays of Pi1, Pi2 and Pi3 for the nu=2 psi
     basis. Pi2 carries the starred block pi2 B (lam2 I - C)^{-1}, with B and
     C the top-right and bottom-right blocks of the restriction matrix."""
     beta = params.beta()
@@ -125,7 +125,7 @@ def test_u_tilde_match_display():
 
 def test_sylvester_projections_nu3():
     params = BetaParams(2, 1)
-    m = restriction_matrix(make_psi_basis(params, 3, normalized=False))
+    m = restriction_matrix(make_psi_basis(params, 3))
     eigs = block_eigenvalues(params, 3)
     projs = sylvester_projections(m, eigs)
     for pi, lam in zip(projs, eigs):
@@ -167,20 +167,38 @@ def test_golden_matrix_values():
 
 def test_block_triangular_shape_unnormalized():
     for nu in (3, 4):
-        basis = make_psi_basis(BetaParams(2, 1), nu, normalized=False)
+        basis = make_psi_basis(BetaParams(2, 1), nu)
         m = restriction_matrix(basis)
         for i in range(2 * nu):
             for j in range(2 * nu):
                 if i // 2 > j // 2:
                     assert m[i][j].is_zero()
-        # diagonal blocks equal A_k (same normalization inside each block)
+        # diagonal blocks equal A_k (both functions of a block share c_s)
         for k in range(1, nu + 1):
             assert mat_equal(diagonal_block(m, k), block_display(BetaParams(2, 1), k))
 
 
-def test_normalized_basis_limits():
-    with pytest.raises(ValueError):
-        make_psi_basis(GOLDEN, 3, normalized=True)
+def test_bases_are_prefixes_and_the_nu4_matrix_extends_the_nu2_matrix():
+    # psi_1..psi_2nu do not depend on the nu they were built for, so the
+    # top-left block of a larger restriction matrix is the smaller matrix
+    for params in ALL_PARAMS_5:
+        big = make_psi_basis(params, 4)
+        for nu in (1, 2, 3):
+            small = make_psi_basis(params, nu)
+            assert len(small) == 2 * nu
+            assert all(f.equal_ae(g) for f, g in zip(small, big))
+        m2, m4 = restriction_matrix(big[:4]), restriction_matrix(big)
+        assert mat_equal([row[:4] for row in m4[:4]], m2)
+        assert mat_equal(m2, riesz_projections(params).matrix)
+
+
+def test_nu4_projections_give_the_same_eigenfunctions():
+    # on the one basis u1, u2, u3 are Pi1 psi1, Pi2 psi1 and Pi3 psi3 at any nu
+    for params in (GOLDEN, BetaParams(3, 2), BetaParams(5, 5)):
+        basis = make_psi_basis(params, 4)
+        projs = sylvester_projections(restriction_matrix(basis), block_eigenvalues(params, 4))
+        for u, pi, col in zip(make_u_tilde(params), projs, (0, 0, 2)):
+            assert u.equal_ae(combine([(pi[row][col], f) for row, f in enumerate(basis)]))
 
 
 def test_block_trace_and_det():
@@ -188,7 +206,7 @@ def test_block_trace_and_det():
     # and the closed-form eigenvalues annihilate its characteristic polynomial
     for params in ALL_PARAMS_5:
         binv = params.beta().inverse()
-        m = restriction_matrix(make_psi_basis(params, 4, normalized=False))
+        m = restriction_matrix(make_psi_basis(params, 4))
         eigs = block_eigenvalues(params, 4)
         for k in range(1, 5):
             blk = diagonal_block(m, k)

@@ -3,6 +3,7 @@ pointwise preimage engine, greedy digit expansions."""
 
 import hashlib
 import json
+import math
 import random
 import tracemalloc
 from bisect import bisect_right
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import betaop.transfer as transfer
 from betaop import (BetaParams, PiecewisePoly, Polynomial, QuadNum,
                     apply_integer_transfer, apply_transfer,
                     apply_transfer_iterate, bernoulli_piecewise, builtin,
@@ -234,23 +236,32 @@ def test_pointwise_scalar_and_k0():
     assert got == pytest.approx(float(exact5.eval(x)), abs=1e-12)
 
 
-def test_pointwise_budget():
+@pytest.mark.parametrize("xs", [math.nan, -0.25, 1.5, [math.nan, 0.5], [0.5, -1e-300],
+                                np.array([0.5, math.nan])])
+def test_pointwise_refuses_sample_points_outside_the_unit_interval(xs):
+    with pytest.raises(ValueError, match=r"sample points must lie in \[0,1\]"):
+        pointwise_transfer_power(builtin("cubic"), GOLDEN, 3, xs)
+
+
+def test_pointwise_budget(monkeypatch):
     F = builtin("psi1")
+    monkeypatch.setattr(transfer, "NODE_BUDGET", 10 ** 4)
     with pytest.raises(BudgetExceeded):
-        pointwise_transfer_power(F, BetaParams(5, 5), 20,
-                                 np.linspace(0, 1, 101), node_budget=10 ** 4)
+        pointwise_transfer_power(F, BetaParams(5, 5), 20, np.linspace(0, 1, 101))
 
 
-def test_pointwise_budget_refuses_a_level_before_building_it():
+def test_pointwise_budget_refuses_a_level_before_building_it(monkeypatch):
     # (3,1) on these 101 points: levels 0..7 of the tree hold 622,425 nodes,
     # level 7 alone 434,002
     params, F = BetaParams(3, 1), builtin("linear")
     xs = [i / 100 for i in range(101)]
-    pointwise_transfer_power(F, params, 7, xs, node_budget=622425)
+    monkeypatch.setattr(transfer, "NODE_BUDGET", 622425)
+    pointwise_transfer_power(F, params, 7, xs)
+    monkeypatch.setattr(transfer, "NODE_BUDGET", 622424)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded):
-            pointwise_transfer_power(F, params, 7, xs, node_budget=622424)
+            pointwise_transfer_power(F, params, 7, xs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
