@@ -27,7 +27,7 @@ PIECE_BUDGET = 10 ** 6  # two_term_residual_exact refuses residuals with more pi
 @dataclass
 class ResidualSeries:
     """Residual magnitudes per iteration count with a fitted decay slope of
-    ln(residual_upper) against k."""
+    ln(residual_upper) against k (ln(residual_lower) where the upper is NaN)."""
 
     ks: list[int]
     residual_lower: list[float]
@@ -93,8 +93,8 @@ def epsilon_of(params: BetaParams, N: int | None = None) -> TheoremParams:
 
 def two_term_residual_exact(F: PiecewisePoly, k_max: int,
                             terms: int = 2) -> ResidualSeries:
-    """Float sup-norm brackets of R_k, P^k F minus its expansion, for k = 1..k_max
-    (exact engine, but the bracket is not certified: ROADMAP.md item 1).
+    """Certified float sup-norm brackets of R_k, P^k F minus its expansion, for
+    k = 1..k_max (PiecewisePoly.sup_norm_bracket).
 
     terms=2 subtracts u1*integral(F) and beta^-k * u3 * (F(1)-F(0))/4;
     terms=1 subtracts only the invariant part. The exact residual is iterated
@@ -127,7 +127,9 @@ def two_term_residual_exact(F: PiecewisePoly, k_max: int,
 def two_term_residual_numeric(F, params: BetaParams, ks,
                               grid: int = 101) -> ResidualSeries:
     """Grid sup of the two-term residual using the pointwise preimage engine;
-    the eigenfunctions are evaluated exactly at the grid points."""
+    the eigenfunctions are evaluated exactly at the grid points. A grid sup
+    is no upper bound, so residual_upper is NaN and the slope is fitted to
+    residual_lower."""
     if grid < 101:
         raise ValueError("grid must be >= 101")
     u1, _, u3 = make_u_tilde(params)
@@ -139,16 +141,14 @@ def two_term_residual_numeric(F, params: BetaParams, ks,
     jump = (F(1.0) - F(0.0)) / 4.0
     b = params.beta_float()
     ks = list(ks)
-    lows, ups = [], []
+    lows = []
     for k in ks:
         pk = pointwise_transfer_power(F, params, k, xs)
         bk = b ** (-k)
-        sup = max(abs(p - u * total - bk * v * jump)
-                  for p, u, v in zip(pk.tolist(), u1_vals, u3_vals))
-        lows.append(sup)
-        ups.append(sup)
-    return ResidualSeries(ks=ks, residual_lower=lows, residual_upper=ups,
-                          fitted_slope=slope_or_nan(ks, ups))
+        lows.append(max(abs(p - u * total - bk * v * jump)
+                        for p, u, v in zip(pk.tolist(), u1_vals, u3_vals)))
+    return ResidualSeries(ks=ks, residual_lower=lows, residual_upper=[math.nan] * len(ks),
+                          fitted_slope=slope_or_nan(ks, lows))
 
 
 def hor13_reconstruction(F, params: BetaParams, M: int, N: int,

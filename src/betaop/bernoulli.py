@@ -153,6 +153,7 @@ def integer_base_expansion_residual(F, q: int, k: int, N: int, grid: int) -> flo
             scale = mp.mpf(q) ** (-j * k)
             rhs = rhs + scale * jump * periodized_eval(j, xv) / math.factorial(j)
         err = abs(lhs - rhs)
-        if err > worst:
+        # within 2^10 ulps of the terms, err is rounding noise of that precision: 0
+        if err > worst and err > 1024 * mp.eps * (abs(lhs) + abs(rhs)):
             worst = err
     return float(worst)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import math
@@ -33,8 +34,11 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _dec(x: float) -> str:
-    """15 significant digits (float formatting rounds half-even)."""
+def _dec(x: float, rounding: str | None = None) -> str:
+    """15 significant digits, rounded half-even or, for a bound, by a decimal rounding."""
+    if rounding:
+        with decimal.localcontext(prec=15, rounding=rounding):  # 15 digits survive float()
+            x = float(+decimal.Decimal(x))
     return "{:.15g}".format(float(x))
 
 
@@ -195,9 +199,10 @@ def cmd_asymptotics(args):
     rows = []
     for k, lo, up in zip(series.ks, series.residual_lower, series.residual_upper):
         bound = b ** (-(1.0 + theorem.epsilon) * k)
-        # the bound underflows to 0.0 at large k
-        ratio = up / bound if bound else math.nan
-        rows.append((k, _dec(lo), _dec(up), _dec(bound), _dec(ratio)))
+        # the bound underflows to 0.0 at large k; the numeric engine's upper is NaN
+        ratio = (lo if math.isnan(up) else up) / bound if bound else math.nan
+        rows.append((k, _dec(lo, decimal.ROUND_FLOOR), _dec(up, decimal.ROUND_CEILING),
+                     _dec(bound), _dec(ratio)))
     extra = {"fitted_slope": series.fitted_slope,
              "epsilon": theorem.epsilon,
              "predicted_slope_bound": -(1.0 + theorem.epsilon) * math.log(b)}

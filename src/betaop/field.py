@@ -326,18 +326,28 @@ def quad_float(a: int, b: int, d: int, params: BetaParams) -> float:
     """(a + b*beta)/d as a float for any d > 0; (ga, gb, gd) gives the same
     float, as n and the divisor below both scale by g."""
     # (r + b*sqrt(D))/(2d), r = 2a + a0*b, with sqrt(D) in an interval narrowed until
-    # ~2^-60 relative error; a/d + (b/d)*beta cancels when a, b are large and opposite.
+    # both ends round to one float; a/d + (b/d)*beta cancels when a, b are large and opposite.
     if b == 0:
         return a / d
     r = 2 * a + params.a0 * b
     D = params.disc
     m = 64
     while True:
-        # sqrt(D) within 2^-m, so n / 2^m is within |b| / 2^m of r + b*sqrt(D)
-        n = (r << m) + b * _scaled_isqrt(D, m)
-        if abs(n) > abs(b) << 60:
-            return n / ((2 * d) << m)  # int / int rounds correctly
+        # sqrt(D) within 2^-m, so n / 2^m is within |b| / 2^m of r + b*sqrt(D); where
+        # both ends round to one float (int / int rounds correctly), so does the value
+        n, den = (r << m) + b * _scaled_isqrt(D, m), (2 * d) << m
+        if abs(n) > abs(b) << 53 and (n - abs(b)) / den == (n + abs(b)) / den:
+            return n / den
         m *= 2
+
+
+def quad_float_outward(a: int, b: int, d: int, params: BetaParams) -> tuple[float, float]:
+    """Floats lo <= (a + b*beta)/d <= hi: the nearest float, and the next one out."""
+    f = quad_float(a, b, d, params)
+    n, m = f.as_integer_ratio()
+    side = _sign(a * m - n * d, b * m, params)  # the sign of the value minus f
+    return (math.nextafter(f, -math.inf) if side < 0 else f,
+            math.nextafter(f, math.inf) if side > 0 else f)
 
 
 def affine_horner(num, den: int, scale: QuadNum, shift: QuadNum,

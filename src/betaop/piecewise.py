@@ -11,15 +11,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import chain
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
-from .field import BetaParams, QuadNum, _make, affine_horner, quad_float, quadnum_from_string
+from .field import (BetaParams, QuadNum, _make, _sign, affine_horner, quad_float,
+                    quad_float_outward, quadnum_from_string)
 
 DEGREE_CAP = 64
-SAMPLES_PER_PIECE = 32  # Chebyshev samples per piece in sup_norm_bracket
+BRACKET_WIDTH = Fraction(1, 8)  # sup_norm_bracket splits while upper > (1 + this) lower
 
 
 class Polynomial:
@@ -91,10 +92,6 @@ class Polynomial:
     def eval(self, x: QuadNum) -> QuadNum:
         return horner(self.coeffs, x)
 
-    def derivative(self) -> "Polynomial":
-        return _new()._reduce([(n * u, n * v) for n, (u, v) in enumerate(self.num)][1:],
-                              self.den, self.params)
-
     def antiderivative(self) -> "Polynomial":
         L = math.lcm(*range(1, len(self.num) + 1))
         return _new()._reduce([(0, 0)] + [(u * (L // n), v * (L // n))
@@ -162,9 +159,22 @@ def horner(coeffs: Sequence, x):
     return acc
 
 
-@lru_cache(maxsize=8)
-def _chebyshev_nodes(n: int) -> tuple[float, ...]:
-    return tuple(math.cos(math.pi * (2 * i + 1) / (2 * n)) for i in range(n))
+@lru_cache(maxsize=None)
+def _bernstein_weights(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows i of C(i, j) L / C(n, j), j <= i, L = lcm of the C(n, j); row 0 is (L,)."""
+    L = math.lcm(*(math.comb(n, j) for j in range(n + 1)))
+    return tuple(tuple(math.comb(i, j) * L // math.comb(n, j) for j in range(i + 1))
+                 for i in range(n + 1))
+
+
+def _halves(b: list) -> tuple[list, list]:
+    """de Casteljau at 1/2 on Bernstein pairs over den: the halves over den 2^n."""
+    n, left, right = len(b) - 1, [], []
+    for r in range(n + 1):
+        left.append((b[0][0] << (n - r), b[0][1] << (n - r)))
+        right.append((b[-1][0] << (n - r), b[-1][1] << (n - r)))
+        b = [(u + x, v + y) for (u, v), (x, y) in zip(b, b[1:])]
+    return left, right[::-1]
 
 
 class PiecewisePoly:
@@ -342,26 +352,40 @@ class PiecewisePoly:
         return [horner(coeffs[bisect_right(bps, x, 1, n) - 1], x) for x in map(float, xs)]
 
     def sup_norm_bracket(self) -> tuple[float, float]:
-        """Float bracket (lower, upper) for the sup norm: max |f| over
-        SAMPLES_PER_PIECE Chebyshev samples and the endpoint limits per piece,
-        plus a bound on |f'| times half the largest sample gap. Not certified:
-        rounding is unaccounted (ROADMAP.md item 1)."""
-        lower = upper_slack = 0.0
-        theta = _chebyshev_nodes(SAMPLES_PER_PIECE)
+        """Certified floats lower <= sup|f| <= upper; upper > 0 for f != 0.
+        Decided on integer pairs: max|b_i| of a piece's Bernstein coefficients
+        bounds it, b_0 and b_n are its end values. The box of the largest bound
+        is halved (de Casteljau) while that bound exceeds (1 + BRACKET_WIDTH)
+        times the lower one; both bounds are rounded outward once."""
+        params, boxes, lower = self.params, [], ((0, 0), 1)
+
+        def larger(x, y):  # of x, y = ((u, v), d, ...), standing for (u + v beta)/d
+            (xu, xv), xd, (yu, yv), yd = x[0], x[1], y[0], y[1]
+            return y if _sign(yu * xd - xu * yd, yv * xd - xv * yd, params) > 0 else x
+
+        def add(b, den):  # the box (max |b_i|, den, b) of Bernstein pairs b over den
+            nonlocal lower
+            size = [(u, v) if _sign(u, v, params) >= 0 else (-u, -v) for u, v in b]
+            boxes.append((reduce(larger, [(m, 1) for m in size])[0], den, b))
+            lower = larger(lower, (larger((size[0], 1), (size[-1], 1))[0], den))
+
         for a, b, p in zip(self.breakpoints, self.breakpoints[1:], self.pieces):
-            if p.is_zero():
-                continue
-            af, bf = float(a), float(b)
-            mid, half = (af + bf) / 2, (bf - af) / 2
-            xs = sorted([af, bf] + [mid + half * t for t in theta])
-            coeffs = p.float_coeffs()
-            lower = max(lower, max(abs(horner(coeffs, x)) for x in xs))
-            dbound = 0.0  # sum of |f'| coefficients, top degree first: valid on [0,1]
-            for c in reversed(p.derivative().float_coeffs()):
-                dbound += abs(c)
-            gap = max(y - x for x, y in zip(xs, xs[1:]))
-            upper_slack = max(upper_slack, dbound * gap / 2)
-        return lower, lower + upper_slack
+            if p.num:  # p(a + (b - a)t) as pairs, then L times its Bernstein coefficients
+                c, den = affine_horner(p.num, p.den, b - a, a)
+                rows, us, vs = _bernstein_weights(len(c) - 1), [u for u, _ in c], [v for _, v in c]
+                add([(sum(map(mul, w, us)), sum(map(mul, w, vs))) for w in rows], den * rows[0][0])
+        wn, wd = BRACKET_WIDTH.numerator, BRACKET_WIDTH.denominator
+        while True:  # top is lower itself for f = 0
+            top, ((lu, lv), ld) = reduce(larger, boxes or [lower]), lower
+            if larger(((lu * (wd + wn), lv * (wd + wn)), ld * wd), top) is not top:
+                break
+            boxes.remove(top)
+            for half in _halves(top[2]):
+                add(half, top[1] << (len(top[2]) - 1))
+        lo = quad_float_outward(*lower[0], lower[1], params)
+        # top is not below lower, so if not above it, one rounding serves both
+        up = lo if larger(lower, top) is lower else quad_float_outward(*top[0], top[1], params)
+        return lo[0], up[1]
 
     # -- serialization -----------------------------------------------------------
 

@@ -83,7 +83,7 @@ def test_exact_residual_is_second_eigenterm():
     for params in (GOLDEN, BetaParams(3, 2)):
         psi1 = make_psi_basis(params, 2)[0]
         u2 = make_u_tilde(params)[1]
-        with patch.object(piecewise, "SAMPLES_PER_PIECE", 128):
+        with patch.object(piecewise, "BRACKET_WIDTH", Fraction(1, 128)):
             lo2, up2 = u2.sup_norm_bracket()
         lam = params.a1 / params.beta_float() ** 2
         series = two_term_residual_exact(psi1, 8)
@@ -147,8 +147,10 @@ def test_numeric_residual_matches_prediction():
     grid_sup = float(np.abs(u2.eval_float(xs)).max())
     lam = 1 / GOLDEN.beta_float() ** 2
     series = two_term_residual_numeric(F, GOLDEN, range(1, 9))
-    for k, up in zip(series.ks, series.residual_upper):
-        assert up == pytest.approx(lam ** k * grid_sup, abs=1e-10)
+    for k, lo in zip(series.ks, series.residual_lower):
+        assert lo == pytest.approx(lam ** k * grid_sup, abs=1e-10)
+    # a grid sup bounds nothing from above
+    assert all(math.isnan(up) for up in series.residual_upper)
 
 
 def test_two_term_slopes_golden():
@@ -231,32 +233,112 @@ def numpy_slope(ks, values):
 
 
 def iteration_digest(params, k_max=40):
-    """SHA-256 over the exact iterates P^k F (k <= k_max, F cubic) and over
-    the bracket floats of their two-term residual series; also the series."""
-    F = builtin("cubic").piecewise(params)
+    """SHA-256 over the exact iterates P^k F, k <= k_max, F cubic."""
+    cur = builtin("cubic").piecewise(params)
     h = hashlib.sha256()
-    cur = F
     for _ in range(k_max):
         cur = apply_transfer(cur)
         h.update(json.dumps(cur.to_json_dict(), sort_keys=True).encode())
-    series = two_term_residual_exact(F, k_max)
-    floats = series.residual_lower + series.residual_upper
-    h.update(" ".join(x.hex() for x in floats).encode())
-    return h.hexdigest(), series
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("a0, a1, digest", [
-    (1, 1, "e7df8edab4ad60c5ba2eab4d3b764f73707eba4336c7842a1825d957b861dcc0"),
-    (5, 5, "0fe96e1c79fc4ddce3ebacdca5d9eb87f71a347059c69297b9f1c48bcfc8b939"),
+    (1, 1, "6ed80bc6f1ac004fbf55e3f57dc95188181b7a2c7d7fc8d7b62496094c904aa1"),
+    (5, 5, "b91e268ab663fb5c43e64a4fe7d164d41bb0a697ae6c59b63a6aef6e9f5625ea"),
 ], ids=["1-1", "5-5"])
-def test_iterates_and_residuals_are_bit_identical(a0, a1, digest):
-    # digests of the iterates and bracket floats as computed with the numpy
-    # brackets; any changed bit of a result changes them. The fitted slope is
-    # a least-squares fit, checked against np.polyfit to rounding instead.
-    got, series = iteration_digest(BetaParams(a0, a1))
-    assert got == digest
+def test_iterates_are_bit_identical(a0, a1, digest):
+    # recorded before the brackets became exact; any changed bit of an iterate
+    # changes the digest
+    assert iteration_digest(BetaParams(a0, a1)) == digest
+
+
+def _value(coeffs, x):
+    acc = x.params.zero()
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def positive_on(coeffs, a, b) -> bool:
+    """True iff the polynomial with QuadNum coefficients (ascending) is > 0
+    on [a, b], decided exactly: it is > 0 at a and b, and its Sturm sequence
+    counts no root between them."""
+    if _value(coeffs, a).sign() <= 0 or _value(coeffs, b).sign() <= 0:
+        return False
+    chain = [list(coeffs), [c * i for i, c in enumerate(coeffs)][1:]]
+    while chain[-1]:
+        r, q = list(chain[-2]), chain[-1]
+        while len(r) >= len(q):  # r <- r mod q; each pass clears the top term
+            f, shift = r[-1] / q[-1], len(r) - len(q)
+            for i, c in enumerate(q[:-1]):
+                r[shift + i] = r[shift + i] - f * c
+            r.pop()
+        while r and r[-1].is_zero():
+            r.pop()
+        chain.append([-c for c in r])
+
+    def changes(x):
+        signs = [s for s in (_value(p, x).sign() for p in chain[:-1]) if s]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+    return changes(a) == changes(b)
+
+
+def residuals(F, k_max):
+    """The two-term residuals R_1, ..., R_k_max of F, iterated exactly."""
+    u1, _, u3 = make_u_tilde(F.params)
+    f0, f1 = F.boundary_values()
+    resid = F + u1.scaled(-F.integrate()) + u3.scaled((f0 - f1) * Fraction(1, 4))
+    for _ in range(k_max):
+        resid = apply_transfer(resid)
+        yield resid
+
+
+def bracket_holds_the_sup(f, lo, up) -> bool:
+    """lower <= sup|f| < upper, decided exactly piece by piece: sup|f| < c iff
+    c - p and c + p are positive on every piece p."""
+    def below(c):
+        c = f.params.rational(Fraction(c))
+        return all(positive_on([c - p.coeffs[0], *(-x for x in p.coeffs[1:])], a, b)
+                   and positive_on([c + p.coeffs[0], *p.coeffs[1:]], a, b)
+                   if p.coeffs else c.sign() > 0
+                   for a, b, p in zip(f.breakpoints, f.breakpoints[1:], f.pieces))
+    return not below(lo) and below(up)
+
+
+@pytest.mark.parametrize("a0, a1", [(1, 1), (5, 5)], ids=["1-1", "5-5"])
+def test_residual_brackets_hold_the_exact_sup(a0, a1):
+    # the two-term residuals R_k of the cubic, k <= 40, pieces of degree 3;
+    # the fitted slope is a least-squares fit, checked against np.polyfit
+    F = builtin("cubic").piecewise(BetaParams(a0, a1))
+    series = two_term_residual_exact(F, 40)
+    for resid, lo, up in zip(residuals(F, 40), series.residual_lower, series.residual_upper):
+        assert bracket_holds_the_sup(resid, lo, up)
     assert series.fitted_slope == pytest.approx(
         numpy_slope(series.ks, series.residual_upper), rel=1e-12)
+
+
+def test_linear_residual_brackets_hold_the_exact_sup():
+    # the 640 two-term residuals of linear F, k <= 160, are piecewise linear,
+    # so their sup is the largest one-sided end value, compared exactly; the
+    # float-sampled bracket this replaced missed it 562 times
+    count = 0
+    for params in (GOLDEN, BetaParams(2, 1), BetaParams(3, 2), BetaParams(5, 5)):
+        for resid in residuals(builtin("linear").piecewise(params), 160):
+            ends = [p.eval(x) for a, b, p in zip(resid.breakpoints, resid.breakpoints[1:],
+                                                 resid.pieces) for x in (a, b)]
+            sup = max(v if v.sign() >= 0 else -v for v in ends)
+            lo, up = resid.sup_norm_bracket()
+            assert params.rational(Fraction(lo)) <= sup <= params.rational(Fraction(up))
+            assert up > 0.0
+            count += 1
+    assert count == 640
+
+
+def test_upper_bound_of_a_nonzero_residual_is_never_zero():
+    # from k = 387 the residuals lie below the float range; the sampled bracket
+    # read an upper bound of 0.0 there 14 times, the lower bound still does
+    series = two_term_residual_exact(builtin("linear").piecewise(BetaParams(5, 5)), 400)
+    assert min(series.residual_upper) == 5e-324 and series.residual_lower.count(0.0) == 14
 
 
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=60), st.floats(-3, 0),

@@ -10,7 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from betaop import (BetaParams, BudgetExceeded, bernoulli, bernoulli_coeffs,
+from betaop import (BetaParams, BudgetExceeded, Polynomial, bernoulli, bernoulli_coeffs,
                     bernoulli_polynomial, builtin, eb_expand, fit_slope,
                     integer_base_expansion_residual,
                     integer_transfer_pointwise, periodized_eval)
@@ -26,10 +26,15 @@ def test_low_degree_tables():
                                    Fraction(-3, 2), Fraction(1))
 
 
+def derivative(p):
+    """p' as a Polynomial, from its QuadNum coefficients."""
+    return Polynomial([c * n for n, c in enumerate(p.coeffs)][1:], p.params)
+
+
 def test_recursion_identities():
     for n in range(1, 21):
         bn = bernoulli_polynomial(GOLDEN, n)
-        dn = bn.derivative()
+        dn = derivative(bn)
         target = bernoulli_polynomial(GOLDEN, n - 1).scaled(GOLDEN.rational(n))
         assert (dn - target).is_zero()
         anti = bn.antiderivative()
@@ -163,11 +168,14 @@ def test_residual_over_an_empty_grid_is_refused(grid):
 
 def test_polynomial_residuals_are_exact_at_working_precision():
     # the expansion of a polynomial ends, so the residual is exactly 0; a
-    # double-precision evaluation of F would leave about 2e-16
+    # double-precision evaluation of F would leave about 2e-16, and at q = 3
+    # and 5 the 60-digit sums leave about 1e-61, rounding noise read as 0
     F = builtin("cubic")
     with mp.workdps(60):
         residuals = [integer_base_expansion_residual(F, 2, k, 4, 41) for k in (4, 8, 12)]
-    assert residuals == [0.0] * 3
+        residuals += [integer_base_expansion_residual(F, q, k, 4, 5)
+                      for q, k in ((3, 1), (3, 5), (5, 2))]
+    assert residuals == [0.0] * 6
 
 
 CATALOG = ["psi1", "psi3", "linear", "quadratic", "cubic", "sin-normalized",

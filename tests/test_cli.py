@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from betaop import (BetaParams, PiecewisePoly, Polynomial, builtin,
-                    epsilon_of, make_u_tilde, quadnum_from_string)
+from betaop import (BetaParams, PiecewisePoly, Polynomial, builtin, epsilon_of,
+                    make_u_tilde, quadnum_from_string, slope_or_nan, two_term_residual_exact,
+                    two_term_residual_numeric)
 from betaop.cli import main
 
 GOLDEN = BetaParams(1, 1)
@@ -361,12 +362,17 @@ def _reject_constant(name):
 
 
 @pytest.mark.parametrize("argv,rows", [
-    # exactly 0 residuals, a one-point series, one point above FIT_SKIP
+    # exactly 0 residuals, a one-point series, one point above FIT_SKIP, and
+    # residuals at q = 3 and 5 that are rounding noise, read as 0
     (["integer-base", "--F", "cubic", "--N", "5", "--k-min", "2", "--k-max", "8"], 7),
     (["integer-base", "--F", "sin", "--k-min", "6", "--k-max", "6"], 1),
     (["asymptotics", "--a0", "1", "--a1", "1", "--F", "sin", "--k-max", "6",
       "--engine", "numeric"], 6),
     (["asymptotics", "--a0", "1", "--a1", "1", "--F", "linear", "--k-max", "5"], 5),
+    (["integer-base", "--q", "3", "--F", "cubic", "--N", "4", "--k-min", "1", "--k-max", "7",
+      "--grid", "5"], 7),
+    (["integer-base", "--q", "5", "--F", "cubic", "--N", "4", "--k-min", "1", "--k-max", "4",
+      "--grid", "5"], 4),
 ])
 def test_series_with_no_slope_to_fit(tmp_path, capsys, argv, rows):
     # the table is printed, and the manifest writes the missing slope as null
@@ -379,12 +385,51 @@ def test_series_with_no_slope_to_fit(tmp_path, capsys, argv, rows):
     assert json.loads(text, parse_constant=_reject_constant)["fitted_slope"] is None
 
 
+@pytest.mark.parametrize("q, k_max", [(3, 7), (5, 4)])
+def test_integer_base_reads_rounding_noise_as_zero(capsys, q, k_max):
+    # the expansion of the cubic ends at N = 4; at q = 3 and 5 the 60-digit
+    # sums leave residuals of about 1e-61, which once fitted a slope of 0.0
+    assert run(["integer-base", "--q", str(q), "--F", "cubic", "--N", "4", "--k-min", "1",
+                "--k-max", str(k_max), "--grid", "5"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert [row[1] for row in rows[1:]] == ["0"] * k_max
+
+
 def test_ratio_reads_nan_where_the_bound_underflows(capsys):
     assert run(["asymptotics", "--a0", "5", "--a1", "1", "--F", "linear",
                 "--k-max", "396"]) == 0
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))
     assert rows[-1][0] == "396" and rows[-1][3:] == ["0", "nan"]
     assert rows[-2][3] != "0" and rows[-2][4] != "nan"
+
+
+def test_printed_bounds_round_outward(capsys):
+    # 15 digits rounded down for the lower bound and up for the upper one, so
+    # the printed bracket holds the certified floats
+    assert run(["asymptotics", "--a0", "2", "--a1", "1", "--F", "cubic", "--k-max", "30"]) == 0
+    _, *rows = csv.reader(capsys.readouterr().out.splitlines())
+    series = two_term_residual_exact(builtin("cubic").piecewise(BetaParams(2, 1)), 30)
+    for row, lo, up in zip(rows, series.residual_lower, series.residual_upper, strict=True):
+        assert Fraction(row[1]) <= Fraction(lo) and Fraction(up) <= Fraction(row[2])
+        assert float(row[1]) == pytest.approx(lo, rel=1e-14)
+        assert float(row[2]) == pytest.approx(up, rel=1e-14)
+
+
+def test_numeric_engine_writes_no_upper_bound(tmp_path, capsys):
+    # a grid sup bounds nothing from above: residual_upper reads nan, while
+    # ratio and the fitted slope use the grid sup in residual_lower
+    argv = ["asymptotics", "--a0", "1", "--a1", "1", "--F", "sin", "--k-max", "8",
+            "--engine", "numeric"]
+    target = tmp_path / "numeric.csv"
+    assert run([*argv, "--output", str(target)]) == 0
+    _, *rows = csv.reader(target.read_text().splitlines())
+    series = two_term_residual_numeric(builtin("sin"), GOLDEN, range(1, 9))
+    for row, lo in zip(rows, series.residual_lower, strict=True):
+        assert row[2] == "nan"
+        assert float(row[1]) == pytest.approx(lo, rel=1e-14)
+        assert float(row[4]) == pytest.approx(lo / float(row[3]), rel=1e-13)
+    manifest = json.loads((tmp_path / "numeric.csv.manifest.json").read_text())
+    assert manifest["fitted_slope"] == slope_or_nan(series.ks, series.residual_lower) < 0
 
 
 def test_asymptotics_json_matches_csv(capsys):
@@ -498,7 +543,10 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
 
 
 # SHA-256 of stdout. The first seven were recorded before the commands shared
-# one output path, the last three before test-only code left the package.
+# one output path, the last three before test-only code left the package. The
+# two asymptotics rows were re-recorded when the brackets became exact and the
+# printed bounds were rounded outward: only residual_lower, residual_upper,
+# ratio and fitted_slope changed.
 EXACT_OUTPUT_DIGESTS = [
     (["eigen-check", "--a0", "2", "--a1", "1"],
      "779ed9959c60d2b6341657481a60114a24f69224e4cd66a969effea486103a83"),
@@ -515,10 +563,10 @@ EXACT_OUTPUT_DIGESTS = [
     (["bernoulli-table", "--n-max", "10", "--out", "json"],
      "6cff5e2f7d2953641747f36b91c872c9c2d9215da1ac294031b1826d9ab6f6ae"),
     (["asymptotics", "--a0", "1", "--a1", "1", "--F", "linear", "--k-max", "14"],
-     "0dba10a868fa2c4e632705f02ffd2644b9d6fb97e022704c48d20f5ad66791fe"),
+     "37dea3a3d5b07b8a69e3350ca5ff5255cd078b3b2036aa9bd81690f77ed93441"),
     (["asymptotics", "--a0", "1", "--a1", "1", "--F", "linear", "--k-max", "14",
       "--out", "json"],
-     "2d51696598386a9129e77b4f1a6a274b5f97c7ae0ec9d761c3b2e3d440cb1175"),
+     "10a8bb34ec34b9ddd10ff5d46cae09b9be3e7b536edda66370c715c995c7e72a"),
     (["iterate", "--a0", "1", "--a1", "1", "--F", "cubic", "--k", "6"],
      "20dad2aa26309a147e74edd30b2b47f46fa00ec8052261446d7e2191b7c1a677"),
 ]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from betaop import BetaParams, QuadNum, quadnum_from_string
+from betaop.field import quad_float_outward
 
 ALL_PARAMS_5 = [BetaParams(a0, a1) for a0 in range(1, 6)
                 for a1 in range(1, a0 + 1)]
@@ -260,6 +261,24 @@ def test_floor_of_large_power():
     assert big.inverse().floor() == 0
 
 
+def test_float_is_the_nearest_float():
+    # (a0 - beta)/d and (a0 + 1 - beta)/d nearly cancel; a reference through a
+    # 4096-bit isqrt, one int / int rounding, decides the nearest float. An
+    # interval of 2^-60 relative width was once taken as enough and rounded 26
+    # of these the wrong way, (20 - beta)/3 over (20, 1) among them
+    assert float((20 - BetaParams(20, 1).beta()) / 3) == -0.01662520704029676
+    for a0 in range(1, 60):
+        for a1 in range(1, a0 + 1):
+            params = BetaParams(a0, a1)
+            root = math.isqrt(params.disc << 8192)
+            for j in (a0, a0 + 1):
+                for b in (1, -1):
+                    for d in (1, 3, 5, 6, 7):
+                        x = QuadNum(Fraction(-b * j, d), Fraction(b, d), params)
+                        r = -2 * b * j + a0 * b  # (r + b sqrt(D))/(2d) is x
+                        assert float(x) == ((r << 4096) + b * root) / ((2 * d) << 4096)
+
+
 def test_float_beyond_range_raises_overflow():
     # float() keeps Python's convention for values beyond the float range
     big = BetaParams(1, 1).beta() ** 3000
@@ -356,3 +375,15 @@ def test_to_decimal_rounds_to_nearest_on_large_components(xs, digits):
         assert value - half <= x <= value + half
     else:
         assert value - half < x < value + half
+
+
+@settings(deadline=None)
+@given(elements(1))
+def test_outward_floats_enclose_the_value(xs):
+    x = xs[0]
+    try:
+        lo, hi = quad_float_outward(x.a, x.b, x.d, x.params)
+    except OverflowError:
+        return
+    assert float(x) in (lo, hi) and lo <= hi <= math.nextafter(lo, math.inf)
+    assert x.params.rational(Fraction(lo)) <= x <= x.params.rational(Fraction(hi))

@@ -5,7 +5,6 @@ import json
 import math
 import random
 from fractions import Fraction
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -167,23 +166,28 @@ def test_sup_norm_bracket(monkeypatch):
     lo4, up4 = psi4.sup_norm_bracket()
     assert lo4 <= 2 * GOLDEN.beta_float() + 1e-12
     assert 2 * GOLDEN.beta_float() <= up4
-    monkeypatch.setattr(piecewise, "SAMPLES_PER_PIECE", 512)
-    lo, up = psi3.sup_norm_bracket()
-    assert up - lo < 0.05
+    # x - x^3 peaks inside [0, 1], at 1/sqrt(3), with the sup^2 = 4/27
+    bump = PiecewisePoly.from_polynomial(Polynomial.from_rationals([0, 1, 0, -1], GOLDEN))
+    monkeypatch.setattr(piecewise, "BRACKET_WIDTH", Fraction(1, 64))
+    lo, up = bump.sup_norm_bracket()
+    assert Fraction(lo) ** 2 <= Fraction(4, 27) <= Fraction(up) ** 2
+    assert up - lo <= lo / 64
 
 
 def test_sup_norm_bracket_shrinks(monkeypatch):
+    # the splits follow one order whatever the width, so a smaller width only
+    # adds splits: the lower bound never falls and the upper never rises
     rng = random.Random(99)
     for _ in range(20):
         f = rational_pw(rng, GOLDEN, max_pieces=3, max_deg=3)
-        widths = []
-        for n in (8, 16, 32, 64):
-            monkeypatch.setattr(piecewise, "SAMPLES_PER_PIECE", n)
+        brackets = []
+        for width in (Fraction(1, 2), Fraction(1, 8), Fraction(1, 32), Fraction(1, 128)):
+            monkeypatch.setattr(piecewise, "BRACKET_WIDTH", width)
             lo, up = f.sup_norm_bracket()
-            assert lo <= up
-            widths.append(up - lo)
-        assert all(b <= a + 1e-15 for a, b in zip(widths, widths[1:]))
-
+            assert lo <= up <= lo * (1 + width) * (1 + 2 ** -50)  # up to the outward steps
+            brackets.append((lo, up))
+        for (lo, up), (lo2, up2) in zip(brackets, brackets[1:]):
+            assert lo <= lo2 and up2 <= up and up2 - lo2 <= up - lo
 
 def test_degree_cap():
     params = GOLDEN
@@ -440,7 +444,7 @@ def layout_cases(draw):
 def test_every_polynomial_result_is_canonical(case):
     params, p, q, scale, shift, factor = case
     results = [p, q, p + q, p - p, p.scaled(factor), p.scaled(params.zero()),
-               p.derivative(), p.compose_affine(scale, shift),
+               p.compose_affine(scale, shift),
                p.compose_affine(scale, shift, factor)]
     assert all(is_canonical(r) for r in results)
     assert (p - p).is_zero() and (p - p).den == 1
@@ -544,7 +548,7 @@ def test_on_interval_of_zero_polynomial_is_canonical_zero():
         assert f.breakpoints == zero.breakpoints and f.pieces == zero.pieces
 
 
-# -- float views against the numpy code they replaced ------------------------------
+# -- float views: eval_float against numpy, the bracket against exact values ---
 
 
 def numpy_eval_float(f, xs):
@@ -558,31 +562,6 @@ def numpy_eval_float(f, xs):
             descending = [float(c) for c in reversed(piece.coeffs)] or [0.0]
             out[mask] = np.polyval(descending, np.asarray(xs)[mask])
     return out
-
-
-def numpy_sup_norm_bracket(f, samples_per_piece):
-    """PiecewisePoly.sup_norm_bracket as it was written with numpy. The two
-    agree bit for bit up to degree 7: np.sum adds fewer than eight |f'|
-    coefficients in order, but eight or more pairwise, so from degree 8 on
-    the upper bound may differ in the last bits."""
-    n = samples_per_piece
-    theta = np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
-    lower = 0.0
-    upper_slack = 0.0
-    for a, b, p in zip(f.breakpoints, f.breakpoints[1:], f.pieces):
-        if p.is_zero():
-            continue
-        af, bf = float(a), float(b)
-        xs = np.sort(np.concatenate((
-            [af, bf], (af + bf) / 2 + (bf - af) / 2 * theta)))
-        vals = np.abs(np.polyval([float(c) for c in reversed(p.coeffs)], xs))
-        piece_lower = float(vals.max())
-        dcoeffs = [float(c) for c in reversed(p.derivative().coeffs)] or [0.0]
-        dbound = float(np.abs(dcoeffs).sum())
-        gap = float(np.diff(xs).max())
-        lower = max(lower, piece_lower)
-        upper_slack = max(upper_slack, dbound * gap / 2)
-    return lower, lower + upper_slack
 
 
 @st.composite
@@ -599,10 +578,22 @@ def float_view_cases(draw):
 
 
 @settings(deadline=None, max_examples=150)
-@given(float_view_cases(), st.sampled_from([2, 3, 8, 32, 33, 128]))
-def test_sup_norm_bracket_is_bit_equal_to_the_numpy_bracket(f, samples):
-    with patch.object(piecewise, "SAMPLES_PER_PIECE", samples):
-        assert f.sup_norm_bracket() == numpy_sup_norm_bracket(f, samples)
+@given(float_view_cases())
+def test_sup_norm_bracket_holds_every_exact_value(f):
+    # upper >= |f(x)| exactly at both one-sided limits of every breakpoint and
+    # on the grid of 64ths; for pieces of degree <= 1 the sup is the largest
+    # end value, and lower <= sup <= upper holds exactly
+    params = f.params
+    lo, up = f.sup_norm_bracket()
+    assert 0.0 <= lo <= up and (up > 0.0) == (not f.is_zero())
+    ends = [p.eval(x) for a, b, p in zip(f.breakpoints, f.breakpoints[1:], f.pieces)
+            for x in (a, b)]
+    grid = [f.eval(params.rational(Fraction(i, 64))) for i in range(65)]
+    upper = params.rational(Fraction(up))
+    assert all(-upper <= v <= upper for v in ends + grid)
+    if all(len(p.num) <= 2 for p in f.pieces):
+        sup = max(v if v.sign() >= 0 else -v for v in ends)
+        assert params.rational(Fraction(lo)) <= sup <= upper
 
 
 @settings(deadline=None, max_examples=150)
