@@ -100,7 +100,7 @@ def _load_function(args):
     except (TypeError, AttributeError, ValueError) as exc:
         raise ValueError("--piecewise-json %s is malformed: %s"
                          % (args.piecewise_json, exc)) from None
-    if F.params != _params(args):
+    if F.params is not _params(args):
         raise ValueError("--piecewise-json %s is over a0=%d a1=%d, not --a0 %d --a1 %d"
                          % (args.piecewise_json, F.params.a0, F.params.a1,
                             args.a0, args.a1))

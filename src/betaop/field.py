@@ -11,24 +11,47 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
 
-@dataclass(frozen=True)
 class BetaParams:
-    """The pair (a0, a1) defining beta^2 = a0*beta + a1."""
+    """The pair (a0, a1) defining beta^2 = a0*beta + a1. There is one
+    immutable instance per pair, so `is` decides whether two fields agree."""
 
-    a0: int
-    a1: int
+    __slots__ = ("a0", "a1", "_hash")
+    _interned: dict = {}
 
-    def __post_init__(self):
-        if not (type(self.a0) is int and type(self.a1) is int):  # a bool is refused
+    def __new__(cls, a0: int, a1: int):
+        # validated before the lookup, which would take (True, True) for (1, 1)
+        if not (type(a0) is int and type(a1) is int):  # a bool is refused
             raise TypeError("a0 and a1 must be integers")
-        if not self.a0 >= self.a1 >= 1:
-            raise ValueError("need a0 >= a1 >= 1, got a0=%s a1=%s" % (self.a0, self.a1))
+        if not a0 >= a1 >= 1:
+            raise ValueError("need a0 >= a1 >= 1, got a0=%s a1=%s" % (a0, a1))
+        self = cls._interned.get((a0, a1))
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "a0", a0)
+            object.__setattr__(self, "a1", a1)
+            # not id-based, so element hashes and set orders are the same in every run
+            object.__setattr__(self, "_hash", hash((a0, a1)))
+            self = cls._interned.setdefault((a0, a1), self)
+        return self
+
+    def __setattr__(self, *args):
+        raise AttributeError("BetaParams is immutable")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # copies and unpickling return the interned instance
+        return BetaParams, (self.a0, self.a1)
+
+    def __repr__(self):
+        return "BetaParams(a0=%d, a1=%d)" % (self.a0, self.a1)
 
     @property
     def disc(self) -> int:
@@ -140,7 +163,7 @@ class QuadNum:
 
     def _coerce(self, other) -> "QuadNum":
         if isinstance(other, QuadNum):
-            if other.params is not self.params and other.params != self.params:
+            if other.params is not self.params:
                 raise ValueError("mixing QuadNum values from different fields: %s vs %s"
                                  % (self.params, other.params))
             return other
@@ -244,7 +267,7 @@ class QuadNum:
     def __eq__(self, other):
         if isinstance(other, QuadNum):
             return (self.a == other.a and self.b == other.b and self.d == other.d
-                    and self.params == other.params)
+                    and self.params is other.params)
         if isinstance(other, int):
             return self.b == 0 and self.d == 1 and self.a == other
         if isinstance(other, Fraction):

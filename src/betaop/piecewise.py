@@ -69,13 +69,13 @@ class Polynomial:
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.num == other.num
-                and self.den == other.den and self.params == other.params)
+                and self.den == other.den and self.params is other.params)
 
     def __hash__(self):
         return hash((self.num, self.den, self.params))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        if other.params is not self.params and other.params != self.params:
+        if other.params is not self.params:
             raise ValueError("adding polynomials over different fields")
         return _polynomial_sum((self, other), self.params)
 
@@ -83,7 +83,7 @@ class Polynomial:
         return self + other.scaled(QuadNum(-1, 0, self.params))
 
     def scaled(self, factor) -> "Polynomial":
-        if not isinstance(factor, QuadNum) or factor.params != self.params:
+        if not isinstance(factor, QuadNum) or factor.params is not self.params:
             factor = self.params.one() * factor  # an int or Fraction, or the field error
         fa, fb, a0, a1 = factor.a, factor.b, self.params.a0, self.params.a1
         return _new()._reduce([(u * fa + v * fb * a1, u * fb + v * fa + v * fb * a0)
@@ -103,7 +103,7 @@ class Polynomial:
         """The polynomial x -> factor * p(scale*x + shift), factor 1 when None.
         scale, shift and factor must lie in the field of p (ValueError)."""
         for c in (scale, shift, factor):
-            if c is not None and c.params is not self.params and c.params != self.params:
+            if c is not None and c.params is not self.params:
                 raise ValueError("composing with a value from another field")
         if not self.num:
             return self
@@ -223,18 +223,22 @@ class PiecewisePoly:
     def on_interval(cls, poly: Polynomial, a: QuadNum, b: QuadNum) -> "PiecewisePoly":
         """poly on [a,b] within [0,1], zero elsewhere."""
         params = poly.params
-        zero_q, one_q = params.zero(), params.one()
-        if a.sign() < 0 or b > one_q or b <= a:
+        if a.params is not params or b.params is not params:
+            raise ValueError("interval ends from another field")
+        # signs of a, b - 1 and b - a, decided on the triples
+        above_zero, above_one = a.sign(), _sign(b.a - b.d, b.b, params)
+        if (above_zero < 0 or above_one > 0
+                or _sign(b.a * a.d - a.a * b.d, b.b * a.d - a.b * b.d, params) <= 0):
             raise ValueError("interval must be non-degenerate inside [0,1]")
-        bps, pcs = [zero_q], []
+        bps, pcs = [params.zero()], []
         zp = Polynomial.zero(params)
-        if a.sign() > 0:
+        if above_zero > 0:
             bps.append(a)
             pcs.append(zp)
         bps.append(b)
         pcs.append(poly)
-        if b < one_q:
-            bps.append(one_q)
+        if above_one < 0:
+            bps.append(params.one())
             pcs.append(zp)
         # the checks above imply everything the public constructor checks
         return cls._trusted(params, *_merged(bps, pcs))
@@ -262,7 +266,7 @@ class PiecewisePoly:
         return self.pieces[self._piece_index(mid)]
 
     def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        if other.params is not self.params and other.params != self.params:
+        if other.params is not self.params:
             raise ValueError("adding functions over different fields")
         return _piecewise_sum((self, other), self.params)
 
@@ -295,44 +299,62 @@ class PiecewisePoly:
         Only the support [s, t] of f (from the first to the last non-zero
         piece) is pulled back; an image [shift, shift + scale] that misses it
         gives the zero function at once."""
+        params = self.params
+        if scale.params is not params or shift.params is not params:
+            raise ValueError("composing with a value from another field")
         if scale.sign() <= 0:
             raise ValueError("scale must be positive")
-        pieces = self.pieces
+        pieces, breakpoints = self.pieces, self.breakpoints
         # in canonical form no two zero pieces are adjacent
         first = 1 if pieces[0].is_zero() else 0
         last = len(pieces) - (2 if pieces[-1].is_zero() else 1)
         if first > last:
-            return PiecewisePoly.zero(self.params)
-        s, t = self.breakpoints[first], self.breakpoints[last + 1]
-        end = shift + scale
-        if shift >= t or end <= s:
-            return PiecewisePoly.zero(self.params)
-        # cuts are decided in y = scale*x + shift, and only a kept y is pulled
-        # back to x. Interior cuts are the breakpoints y_m in (shift, end), where
-        # s < y_m < t; the input piece from the cut of m on is m, and before the
-        # first cut it is the last m with y_m <= shift
-        zp = Polynomial.zero(self.params)
-        bps, pcs = [self.params.zero()], []
-        if s > shift:
-            bps.append((s - shift) / scale)
+            return PiecewisePoly.zero(params)
+        # cuts are decided in y = scale*x + shift on integer triples: with shift
+        # and end = shift + scale over E, y - shift = (p + q beta)/(y.d E) has the
+        # sign of p + q beta, and a kept y is pulled back by one product with 1/scale
+        E = math.lcm(scale.d, shift.d)
+        za, zb = shift.a * (E // shift.d), shift.b * (E // shift.d)
+        ea, eb = za + scale.a * (E // scale.d), zb + scale.b * (E // scale.d)
+        s, t = breakpoints[first], breakpoints[last + 1]
+        tp, tq = t.a * E - za * t.d, t.b * E - zb * t.d
+        if (_sign(tp, tq, params) <= 0  # t <= shift
+                or _sign(s.a * E - ea * s.d, s.b * E - eb * s.d, params) >= 0):  # s >= end
+            return PiecewisePoly.zero(params)
+        inv = scale.inverse()
+        ia, ib, a0, a1 = inv.a, inv.b, params.a0, params.a1
+
+        def pulled(y, p, q):
+            return _make(p * ia + q * ib * a1, p * ib + q * ia + q * ib * a0,
+                         y.d * E * inv.d, params)
+
+        # interior cuts are the breakpoints y_m in (shift, end), where s < y_m < t;
+        # the input piece from the cut of m on is m, and before the first cut it
+        # is the last m with y_m <= shift
+        zp = Polynomial.zero(params)
+        bps, pcs = [params.zero()], []
+        p, q = s.a * E - za * s.d, s.b * E - zb * s.d
+        if _sign(p, q, params) > 0:  # s > shift
+            bps.append(pulled(s, p, q))
             pcs.append(zp)
         idx = first
         for m in range(first + 1, last + 1):
-            y = self.breakpoints[m]
-            if y <= shift:
+            y = breakpoints[m]
+            p, q = y.a * E - za * y.d, y.b * E - zb * y.d
+            if _sign(p, q, params) <= 0:  # y <= shift
                 idx = m
-            elif y >= end:
+            elif _sign(y.a * E - ea * y.d, y.b * E - eb * y.d, params) >= 0:  # y >= end
                 break
             else:
-                bps.append((y - shift) / scale)
+                bps.append(pulled(y, p, q))
                 pcs.append(pieces[idx].compose_affine(scale, shift, factor))
                 idx = m
         pcs.append(pieces[idx].compose_affine(scale, shift, factor))
-        if t < end:
-            bps.append((t - shift) / scale)
+        if _sign(t.a * E - ea * t.d, t.b * E - eb * t.d, params) < 0:  # t < end
+            bps.append(pulled(t, tp, tq))
             pcs.append(zp)
-        bps.append(self.params.one())
-        return PiecewisePoly._trusted(self.params, *_merged(bps, pcs))
+        bps.append(params.one())
+        return PiecewisePoly._trusted(params, *_merged(bps, pcs))
 
     def integrate(self) -> QuadNum:
         """Exact integral over [0,1]."""
@@ -424,7 +446,7 @@ def combine(terms: Sequence[tuple[QuadNum, PiecewisePoly]]) -> PiecewisePoly:
     if not terms:
         raise ValueError("need at least one term")
     params = terms[0][1].params
-    if any(f.params != params for _, f in terms):
+    if any(f.params is not params for _, f in terms):
         raise ValueError("combining functions over different fields")
     return _piecewise_sum([f.scaled(c) for c, f in terms], params)
 

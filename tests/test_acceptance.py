@@ -211,10 +211,11 @@ def test_criterion_8_markov_properties():
         f = PiecewisePoly(params, bps, pcs)
         g = apply_transfer(f)
         ok &= (g.integrate() - f.integrate()).is_zero()
-        # certified direction of the sup bound ||Pf|| <= ((a0+1)/beta)||f||
+        # certified direction of the sup bound ||Pf|| <= ((a0+1)/beta)||f||,
+        # decided exactly in Q(beta) on the bracket's floats
         lo_pf, _ = g.sup_norm_bracket()
         _, up_f = f.sup_norm_bracket()
-        ok &= lo_pf <= (params.a0 + 1) / params.beta_float() * up_f + 1e-12
+        ok &= params.rational(Fraction(lo_pf)) * params.beta() <= (params.a0 + 1) * Fraction(up_f)
     report(8, ok, started, 30.0, "10^3 random functions")
 
 

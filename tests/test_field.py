@@ -1,8 +1,10 @@
 """Exact arithmetic in Q(beta): field axioms, exact ordering, floors,
 decimal rendering, and string round-trips."""
 
+import copy
 import decimal
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -32,6 +34,33 @@ def test_params_validation():
         BetaParams(0, 0)
     with pytest.raises(TypeError):
         BetaParams(2.0, 1)
+
+
+def test_params_are_one_interned_immutable_object_per_field():
+    golden = BetaParams(1, 1)
+    assert BetaParams(2, 1) is BetaParams(2, 1)
+    assert BetaParams(a0=2, a1=1) is BetaParams(2, 1) is not golden
+    # validation runs before the lookup, so (True, True) never reaches (1, 1)
+    with pytest.raises(TypeError):
+        BetaParams(True, True)
+    with pytest.raises(TypeError):
+        BetaParams(1, True)
+    for a0, a1 in ((1, 1), (2, 1), (5, 3), (10, 10)):
+        assert hash(BetaParams(a0, a1)) == hash((a0, a1))
+    for name in ("a0", "a1", "other"):
+        with pytest.raises(AttributeError):
+            setattr(golden, name, 2)
+    with pytest.raises(AttributeError):
+        del golden.a0
+    assert (golden.a0, golden.a1) == (1, 1)
+    for params in (golden, BetaParams(3, 2)):
+        assert copy.copy(params) is params
+        assert copy.deepcopy(params) is params
+        assert pickle.loads(pickle.dumps(params)) is params
+        x = pickle.loads(pickle.dumps(params.beta() + 1))
+        assert x.params is params and x == params.beta() + 1
+    assert repr(golden) == "BetaParams(a0=1, a1=1)"
+    assert repr(BetaParams(5, 3)) == "BetaParams(a0=5, a1=3)"
 
 
 def test_defining_relation_examples():

@@ -6,7 +6,7 @@ from pathlib import Path
 import betaop
 
 ROOT = Path(__file__).resolve().parents[1]
-# the paper's proof objects, which only the acceptance tests run
+# the paper's proof objects, which only tests/test_asymptotics.py runs
 PROOF_OBJECTS = ("hor13_reconstruction", "lemmaPk_decomposition_check", "chosen_level")
 
 

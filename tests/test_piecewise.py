@@ -371,6 +371,68 @@ def test_compose_affine_on_the_support_edges():
     assert zero.compose_affine(binv, params.zero()).equal_ae(zero)
 
 
+def quadnum_compose_affine(f, scale, shift, factor=None):
+    """PiecewisePoly.compose_affine on QuadNum operators, the reference for its
+    cuts on integer triples: each cut compared with shift and end by _cmp, each
+    kept cut pulled back by a subtraction and a division."""
+    if scale.sign() <= 0:
+        raise ValueError("scale must be positive")
+    pieces = f.pieces
+    first = 1 if pieces[0].is_zero() else 0
+    last = len(pieces) - (2 if pieces[-1].is_zero() else 1)
+    if first > last:
+        return PiecewisePoly.zero(f.params)
+    s, t = f.breakpoints[first], f.breakpoints[last + 1]
+    end = shift + scale
+    if shift >= t or end <= s:
+        return PiecewisePoly.zero(f.params)
+    zp = Polynomial.zero(f.params)
+    bps, pcs = [f.params.zero()], []
+    if s > shift:
+        bps.append((s - shift) / scale)
+        pcs.append(zp)
+    idx = first
+    for m in range(first + 1, last + 1):
+        y = f.breakpoints[m]
+        if y <= shift:
+            idx = m
+        elif y >= end:
+            break
+        else:
+            bps.append((y - shift) / scale)
+            pcs.append(pieces[idx].compose_affine(scale, shift, factor))
+            idx = m
+    pcs.append(pieces[idx].compose_affine(scale, shift, factor))
+    if t < end:
+        bps.append((t - shift) / scale)
+        pcs.append(zp)
+    bps.append(f.params.one())
+    return PiecewisePoly._trusted(f.params, *piecewise._merged(bps, pcs))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(ALL_PARAMS_5).flatmap(
+    lambda p: st.tuples(piecewise_polys(p), st.integers(2, 7), st.integers(-6, 6),
+                        st.integers(-4, 4), st.one_of(st.none(), quadnums(p)),
+                        st.just(p))))
+def test_compose_affine_cuts_match_the_quadnum_oracle(args):
+    # scales beta^-3 .. beta^2 and 1/q; shifts inside and outside [0, 1], and
+    # images [shift, shift + scale] that start or end on each breakpoint of f,
+    # the support's ends and 0 and 1 among them
+    f, q, h_rational, h_beta, factor, params = args
+    scales = [params.power(-depth) for depth in range(-2, 4)]
+    for scale in scales + [params.rational(Fraction(1, q))]:
+        shifts = [QuadNum(Fraction(h_rational, 4), Fraction(h_beta, 4), params)]
+        for y in f.breakpoints:
+            shifts += [y, y - scale]
+        for shift in shifts:
+            got = f.compose_affine(scale, shift, factor)
+            want = quadnum_compose_affine(f, scale, shift, factor)
+            assert got.equal_ae(want)  # the same breakpoint triples and pieces
+            again = PiecewisePoly(params, got.breakpoints, got.pieces)
+            assert again.breakpoints == got.breakpoints and again.pieces == got.pieces
+
+
 # -- integer-pair Horner and internal construction ----------------------------
 
 BIG = 2 ** 400
@@ -529,14 +591,33 @@ def test_internal_constructions_stay_canonical():
 
 def test_on_interval_rejects_intervals_outside_or_degenerate():
     params = BetaParams(2, 1)
-    binv = params.power(-1)
+    binv, tiny, zero, one_q = params.power(-1), params.power(-9), params.zero(), params.one()
     one = Polynomial.from_rationals([1], params)
     for a, b in ((-binv, binv),             # a < 0
+                 (-tiny, binv),
                  (binv, params.beta()),     # b > 1
+                 (binv, one_q + tiny),
                  (binv, binv),              # b = a
+                 (zero, zero), (one_q, one_q),
                  (binv * 2, binv)):         # b < a
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-degenerate"):
             PiecewisePoly.on_interval(one, a, b)
+    with pytest.raises(ValueError, match="another field"):
+        PiecewisePoly.on_interval(one, GOLDEN.zero(), one_q)
+
+
+def test_on_interval_on_the_edges_of_the_unit_interval():
+    for params in (GOLDEN, BetaParams(2, 1), BetaParams(5, 3)):
+        zero, one, binv = params.zero(), params.one(), params.power(-1)
+        tiny = params.power(-9)
+        poly, zp = Polynomial.from_rationals([1, -2], params), Polynomial.zero(params)
+        for a, b, bps, pcs in ((zero, binv, [zero, binv, one], [poly, zp]),
+                               (binv, one, [zero, binv, one], [zp, poly]),
+                               (zero, one, [zero, one], [poly]),
+                               (tiny, one - tiny, [zero, tiny, one - tiny, one],
+                                [zp, poly, zp])):
+            f = PiecewisePoly.on_interval(poly, a, b)
+            assert f.breakpoints == bps and f.pieces == pcs
 
 
 def test_on_interval_of_zero_polynomial_is_canonical_zero():
