@@ -136,6 +136,8 @@ def integer_base_expansion_residual(F, q: int, k: int, N: int, grid: int) -> flo
     import mpmath as mp
     if q < 2 or k < 1:
         raise ValueError("need q >= 2 and k >= 1")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if grid < 1:
         raise ValueError("grid must be >= 1, got %d" % grid)
     xs = [(2 * i + 1) / (2 * grid) for i in range(grid)]

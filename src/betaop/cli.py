@@ -97,7 +97,7 @@ def _load_function(args):
     try:
         with open(args.piecewise_json) as fh:
             F = PiecewisePoly.from_json_dict(json.load(fh))
-    except (TypeError, AttributeError, ValueError) as exc:
+    except (TypeError, AttributeError, ValueError, RecursionError) as exc:
         raise ValueError("--piecewise-json %s is malformed: %s"
                          % (args.piecewise_json, exc)) from None
     if F.params is not _params(args):

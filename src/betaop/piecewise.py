@@ -312,48 +312,37 @@ class PiecewisePoly:
             return PiecewisePoly.zero(params)
         # cuts are decided in y = scale*x + shift on integer triples: with shift
         # and end = shift + scale over E, y - shift = (p + q beta)/(y.d E) has the
-        # sign of p + q beta, and a kept y is pulled back by one product with 1/scale
+        # sign of p + q beta, and a cut y is pulled back by one product with 1/scale
         E = math.lcm(scale.d, shift.d)
         za, zb = shift.a * (E // shift.d), shift.b * (E // shift.d)
         ea, eb = za + scale.a * (E // scale.d), zb + scale.b * (E // scale.d)
         s, t = breakpoints[first], breakpoints[last + 1]
-        tp, tq = t.a * E - za * t.d, t.b * E - zb * t.d
-        if (_sign(tp, tq, params) <= 0  # t <= shift
+        if (_sign(t.a * E - za * t.d, t.b * E - zb * t.d, params) <= 0  # t <= shift
                 or _sign(s.a * E - ea * s.d, s.b * E - eb * s.d, params) >= 0):  # s >= end
             return PiecewisePoly.zero(params)
+        # the cuts are the breakpoints in (shift, end), breakpoints[lo:hi]; the
+        # miss test placed s and t, and the scan up placed breakpoints[lo - 1],
+        # so the scans compare no breakpoint with shift or end twice
+        lo, hi = first, last + 2
+        while lo <= last and _sign((y := breakpoints[lo]).a * E - za * y.d,
+                                   y.b * E - zb * y.d, params) <= 0:
+            lo += 1
+        while hi > max(lo, first + 1) and _sign((y := breakpoints[hi - 1]).a * E - ea * y.d,
+                                                y.b * E - eb * y.d, params) >= 0:
+            hi -= 1
         inv = scale.inverse()
         ia, ib, a0, a1 = inv.a, inv.b, params.a0, params.a1
-
-        def pulled(y, p, q):
-            return _make(p * ia + q * ib * a1, p * ib + q * ia + q * ib * a0,
-                         y.d * E * inv.d, params)
-
-        # interior cuts are the breakpoints y_m in (shift, end), where s < y_m < t;
-        # the input piece from the cut of m on is m, and before the first cut it
-        # is the last m with y_m <= shift
-        zp = Polynomial.zero(params)
-        bps, pcs = [params.zero()], []
-        p, q = s.a * E - za * s.d, s.b * E - zb * s.d
-        if _sign(p, q, params) > 0:  # s > shift
-            bps.append(pulled(s, p, q))
-            pcs.append(zp)
-        idx = first
-        for m in range(first + 1, last + 1):
-            y = breakpoints[m]
+        bps = [params.zero()]
+        for y in breakpoints[lo:hi]:
             p, q = y.a * E - za * y.d, y.b * E - zb * y.d
-            if _sign(p, q, params) <= 0:  # y <= shift
-                idx = m
-            elif _sign(y.a * E - ea * y.d, y.b * E - eb * y.d, params) >= 0:  # y >= end
-                break
-            else:
-                bps.append(pulled(y, p, q))
-                pcs.append(pieces[idx].compose_affine(scale, shift, factor))
-                idx = m
-        pcs.append(pieces[idx].compose_affine(scale, shift, factor))
-        if _sign(t.a * E - ea * t.d, t.b * E - eb * t.d, params) < 0:  # t < end
-            bps.append(pulled(t, tp, tq))
-            pcs.append(zp)
+            bps.append(_make(p * ia + q * ib * a1, p * ib + q * ia + q * ib * a0,
+                             y.d * E * inv.d, params))
         bps.append(params.one())
+        # output interval i carries input piece lo - 1 + i, or zero off the support
+        zp, pcs = Polynomial.zero(params), []
+        for m in range(lo - 1, hi):
+            pcs.append(pieces[m].compose_affine(scale, shift, factor)
+                       if first <= m <= last else zp)
         return PiecewisePoly._trusted(params, *_merged(bps, pcs))
 
     def integrate(self) -> QuadNum:
@@ -367,11 +356,15 @@ class PiecewisePoly:
     # -- numeric views ---------------------------------------------------------
 
     def eval_float(self, xs) -> list[float]:
-        """Evaluate at float points (right-limit convention, left at 1)."""
+        """Evaluate at float points (right-limit convention, left at 1); a
+        point outside [0,1], nan too, raises ValueError as eval does."""
+        xs = [float(x) for x in xs]
+        if not all(0.0 <= x <= 1.0 for x in xs):
+            raise ValueError("argument outside [0,1]")
         bps = [float(b) for b in self.breakpoints]
         coeffs = [p.float_coeffs() for p in self.pieces]
         n = len(self.pieces)
-        return [horner(coeffs[bisect_right(bps, x, 1, n) - 1], x) for x in map(float, xs)]
+        return [horner(coeffs[bisect_right(bps, x, 1, n) - 1], x) for x in xs]
 
     def sup_norm_bracket(self) -> tuple[float, float]:
         """Certified floats lower <= sup|f| <= upper; upper > 0 for f != 0.

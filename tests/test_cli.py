@@ -330,6 +330,9 @@ def test_malformed_piecewise_json_is_a_usage_error(tmp_path, capsys, doc, detail
 @pytest.mark.parametrize("text, detail", [
     ('{"a0": 1,', "Expecting property name enclosed in double quotes: line 1 column 10 (char 9)"),
     ("", "Expecting value: line 1 column 1 (char 0)"),
+    pytest.param("[" * 100000 + "]" * 100000,
+                 "maximum recursion depth exceeded while decoding a JSON array from a "
+                 "unicode string", id="arrays-nested-100000-deep"),
 ])
 def test_piecewise_json_that_is_not_json_is_a_usage_error(tmp_path, capsys, text, detail):
     path = tmp_path / "f.json"
@@ -449,6 +452,16 @@ def test_integer_base_on_an_empty_grid_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: grid must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("N", ["0", "-2"])
+def test_integer_base_with_N_below_one_is_a_usage_error(tmp_path, capsys, N):
+    # N = -2 wrote a residual series and the growth rate 2 log 2 as its slope
+    out = tmp_path / "f.csv"
+    assert run(["integer-base", "--q", "2", "--N", N, "--F", "sin", "--k-min", "2",
+                "--k-max", "4", "--grid", "5", "--output", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: N must be >= 1\n")
+    assert not out.exists()
 
 
 def test_float_overflow_is_a_usage_error(tmp_path, capsys):

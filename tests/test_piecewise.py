@@ -357,16 +357,27 @@ def test_compose_affine_on_the_support_edges():
     high = PiecewisePoly.on_interval(quad, binv * 2, params.one())
     zero = PiecewisePoly.zero(params)
     half = binv * Fraction(1, 2)
-    for f, shift, expect_zero in (
-            (zero, params.zero(), True),       # zero f
-            (block, params.zero(), True),      # image [0, 1/beta] ends where f starts
-            (block, binv * 2, True),           # image starts where f ends
-            (block, half, False),              # partial overlap on the left
-            (block, binv + half, False),       # partial overlap on the right
-            (low, -half, False),               # image sticks out below 0
-            (high, 1 - half, False),           # image sticks out above 1
-            (high, -binv, True)):              # image misses [0,1] altogether
-        assert f.compose_affine(binv, shift).is_zero() == expect_zero
+    # a support piece, and a zero piece inside the support, longer than an image
+    wide = PiecewisePoly.on_interval(quad, half, 1 - half)
+    gap = PiecewisePoly(params, [params.zero(), half, 1 - half, params.one()],
+                        [quad, Polynomial.zero(params), quad])
+    narrow = PiecewisePoly.on_interval(quad, binv * Fraction(5, 4), binv * Fraction(7, 4))
+    # each row: f, the image's start, and the result's pieces (0: the zero function)
+    for f, shift, pieces in (
+            (zero, params.zero(), 0),          # zero f
+            (block, params.zero(), 0),         # image [0, 1/beta] ends where f starts
+            (block, binv * 2, 0),              # image starts where f ends
+            (block, half, 2),                  # partial overlap on the left
+            (block, binv + half, 2),           # partial overlap on the right
+            (low, -half, 2),                   # image sticks out below 0
+            (high, 1 - half, 3),               # image sticks out above 1
+            (high, -binv, 0),                  # image misses [0,1] altogether
+            (wide, binv * Fraction(3, 4), 1),  # image inside one support piece
+            (gap, binv * Fraction(3, 4), 0),   # image inside the zero piece of the support
+            (narrow, binv, 3)):                # image holds the support with room around it
+        g = f.compose_affine(binv, shift)
+        assert g.is_zero() == (pieces == 0)
+        assert len(g.pieces) == max(pieces, 1)
         assert_pullback_matches(f, binv, shift)
     assert zero.compose_affine(binv, params.zero()).equal_ae(zero)
 
@@ -683,3 +694,12 @@ def test_eval_float_is_bit_equal_to_polyval(f, xs):
     xs = xs + [0.0, 1.0] + [float(b) for b in f.breakpoints]
     assert f.eval_float(xs) == numpy_eval_float(f, xs).tolist()
     assert f.eval_float(np.array(xs)) == numpy_eval_float(f, xs).tolist()
+
+
+@pytest.mark.parametrize("x", [1.5, -0.25, math.nan, math.inf])
+def test_eval_float_refuses_points_outside_the_unit_interval(x):
+    # as eval does; the last piece was extrapolated to 1.9696... at 3/2 before
+    g = apply_transfer(PiecewisePoly.from_polynomial(
+        Polynomial.from_rationals([0, 0, 0, 1], GOLDEN)))
+    with pytest.raises(ValueError, match=r"argument outside \[0,1\]"):
+        g.eval_float([0.5, x])
