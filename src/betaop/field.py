@@ -355,6 +355,14 @@ def quad_float(a: int, b: int, d: int, params: BetaParams) -> float:
     r = 2 * a + params.a0 * b
     D = params.disc
     m = 64
+    if r and (r < 0) != (b < 0):
+        # r and b*sqrt(D) cancel: |r + b*sqrt(D)| = |N| / |r - b*sqrt(D)| > 2^(len(N) - 1 - L)
+        # for N = r^2 - b^2 D and |r - b*sqrt(D)| < 2^L, so the first m below leaves
+        # |n| > |b| << 62; m stays 64 times a power of 2, the sizes _scaled_isqrt keeps
+        L = max(r.bit_length(), b.bit_length() + (D.bit_length() + 1) // 2) + 1
+        need = b.bit_length() + L + 64 - (r * r - b * b * D).bit_length()
+        while m < need:
+            m *= 2
     while True:
         # sqrt(D) within 2^-m, so n / 2^m is within |b| / 2^m of r + b*sqrt(D); where
         # both ends round to one float (int / int rounds correctly), so does the value

@@ -33,6 +33,8 @@ class Polynomial:
 
     def __init__(self, coeffs: Sequence[QuadNum], params: BetaParams):
         cs = list(coeffs)
+        if any(c.params is not params for c in cs):
+            raise ValueError("coefficient from another field")
         den = math.lcm(*(c.d for c in cs))
         self._reduce([(c.a * (den // c.d), c.b * (den // c.d)) for c in cs], den, params)
 
@@ -127,12 +129,19 @@ def _polynomial_sum(polys: Sequence[Polynomial], params: BetaParams) -> Polynomi
     polys = [p for p in polys if p.num]
     if len(polys) < 2:
         return polys[0] if polys else Polynomial.zero(params)
-    den = math.lcm(*(p.den for p in polys))
-    width = max(len(p.num) for p in polys)
+    return _pairs_sum([(p.num, p.den) for p in polys], params)
+
+
+def _pairs_sum(terms: Sequence[tuple], params: BetaParams) -> Polynomial:
+    """The canonical sum of terms (num, den), each the polynomial with coefficients
+    (u_i + v_i beta)/den for (u_i, v_i) = num[i], not reduced; terms is not empty.
+    One lcm of the denominators and one gcd."""
+    den = math.lcm(*(d for _, d in terms))
+    width = max(len(num) for num, _ in terms)
     us, vs = [0] * width, [0] * width
-    for p in polys:
-        m = den // p.den
-        for i, (u, v) in enumerate(p.num):
+    for num, d in terms:
+        m = den // d
+        for i, (u, v) in enumerate(num):
             us[i] += u * m
             vs[i] += v * m
     return _new()._reduce(list(zip(us, vs)), den, params)
@@ -190,6 +199,8 @@ class PiecewisePoly:
         pcs = list(pieces)
         if len(bps) != len(pcs) + 1:
             raise ValueError("need one piece per gap between breakpoints")
+        if any(x.params is not params for x in chain(bps, pcs)):
+            raise ValueError("breakpoint or piece from another field")
         if not bps[0].is_zero() or bps[-1] != 1:
             raise ValueError("breakpoints must start at 0 and end at 1")
         for a, b in zip(bps, bps[1:]):

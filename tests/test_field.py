@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from betaop import BetaParams, QuadNum, quadnum_from_string
-from betaop.field import quad_float_outward
+from betaop.field import _scaled_isqrt, quad_float, quad_float_outward
 
 ALL_PARAMS_5 = [BetaParams(a0, a1) for a0 in range(1, 6)
                 for a1 in range(1, a0 + 1)]
@@ -416,3 +416,29 @@ def test_outward_floats_enclose_the_value(xs):
         return
     assert float(x) in (lo, hi) and lo <= hi <= math.nextafter(lo, math.inf)
     assert x.params.rational(Fraction(lo)) <= x <= x.params.rational(Fraction(hi))
+
+
+def quad_float_doubling(a, b, d, params):
+    """quad_float's interval loop as it was: from m = 64 bits, doubling m until
+    both ends of the interval round to one float."""
+    if b == 0:
+        return a / d
+    r, m = 2 * a + params.a0 * b, 64
+    while True:
+        n, den = (r << m) + b * _scaled_isqrt(params.disc, m), (2 * d) << m
+        if abs(n) > abs(b) << 53 and (n - abs(b)) / den == (n + abs(b)) / den:
+            return n / den
+        m *= 2
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(ALL_PARAMS_10), st.integers(1, 400), st.integers(-BIG, BIG).filter(bool),
+       st.integers(-2, 2), st.integers(1, BIG))
+def test_quad_float_from_bit_lengths_matches_the_doubling_loop(params, n, c, e, d):
+    """(a0 - beta)^n = (-a1/beta)^n has coordinates of about n log2(beta) bits
+    and a value below 1, so a = c x.a + e, b = c x.b cancel heavily; quad_float,
+    which sizes its first precision from bit lengths, returns the float of the
+    old loop (both return the correctly rounded value)."""
+    x = QuadNum(params.a0, -1, params) ** n
+    a, b = c * x.a + e, c * x.b
+    assert quad_float(a, b, d, params) == quad_float_doubling(a, b, d, params)

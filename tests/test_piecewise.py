@@ -336,6 +336,26 @@ def test_sum_is_canonical_exact_and_independent_of_order(case):
             stranger + total
 
 
+def test_constructors_reject_values_from_another_field():
+    """A coefficient, breakpoint or piece over another field is refused. Taken
+    as it was, Polynomial([beta of (5,5)], (1,1)) became beta of (1,1), and the
+    bracket of a (5,5) piece on (1,1) breakpoints certified sup 1.618... for a
+    function whose sup is 5.854..."""
+    other = BetaParams(5, 5)
+    for coeffs in ([other.beta()], [GOLDEN.one(), other.one()]):
+        with pytest.raises(ValueError, match="another field"):
+            Polynomial(coeffs, GOLDEN)
+    own, zero, one = Polynomial.from_rationals([1], GOLDEN), GOLDEN.zero(), GOLDEN.one()
+    half = GOLDEN.rational(Fraction(1, 2))
+    for bps, pcs in (([zero, one], [Polynomial([other.beta()], other)]),
+                     ([zero, half, one], [own, Polynomial.from_rationals([2], other)]),
+                     ([other.zero(), one], [own]),
+                     ([zero, other.rational(Fraction(1, 2)), one], [own, own]),
+                     ([zero, other.one()], [own])):
+        with pytest.raises(ValueError, match="another field"):
+            PiecewisePoly(GOLDEN, bps, pcs)
+
+
 def test_polynomial_compose_affine_rejects_another_field():
     p = Polynomial.from_rationals([0, 1], GOLDEN)
     other = BetaParams(2, 1)

@@ -389,3 +389,52 @@ def test_transfer_pulls_back_once_per_branch(params, monkeypatch):
         calls.clear()
         apply_transfer(f)
         assert len(calls) == params.a0 + 1
+
+
+def _transfer_cut_pool(params):
+    """Breakpoints that exercise the sweep's cuts: j/beta (fractional part 0
+    under the beta-map), a1/beta (where the top branch ends), rational and
+    irrational points, and the preimages (y + j)/beta of all of them."""
+    binv = params.power(-1)
+    base = ([binv * j for j in range(1, params.a0 + 1)]
+            + [params.rational(Fraction(1, 3)), params.rational(Fraction(5, 7)),
+               params.power(-3), 1 - params.power(-2), QuadNum(Fraction(1, 5), Fraction(1, 9), params)])
+    pool = base + [(y + j) * binv for y in base for j in range(params.a0 + 1)]
+    return sorted({y for y in pool if 0 < y < 1})
+
+
+@st.composite
+def transfer_inputs(draw, params):
+    """A random Q(beta)-spline over params: cuts from _transfer_cut_pool, and
+    pieces of degree 0-4 with rational or irrational coefficients, or zero."""
+    cuts = sorted(draw(st.lists(st.sampled_from(_transfer_cut_pool(params)),
+                                max_size=7, unique=True)))
+    small = st.integers(-9, 9)
+
+    def coefficient():
+        q = draw(st.sampled_from((0, 0, draw(small))))  # rational two times in three
+        return QuadNum(Fraction(draw(small), draw(st.integers(1, 8))),
+                       Fraction(q, draw(st.integers(1, 8))), params)
+
+    pcs = [Polynomial([coefficient() for _ in range(draw(st.integers(-1, 4)) + 1)], params)
+           for _ in range(len(cuts) + 1)]  # degree -1 is the zero piece
+    return PiecewisePoly(params, [params.zero()] + cuts + [params.one()], pcs)
+
+
+@pytest.mark.parametrize("params", ALL_PARAMS_5, ids=str)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_transfer_sweep_equals_the_per_branch_sum(params, data):
+    """The one-sweep transfer equals the sum of the a0 + 1 pull-backs
+    f((x+j)/beta)/beta, each through compose_affine, and is canonical: the
+    public constructor, which checks and merges, rebuilds it unchanged."""
+    f = data.draw(transfer_inputs(params))
+    binv = params.power(-1)
+    reference = PiecewisePoly.zero(params)
+    for j in range(params.a0 + 1):
+        reference = reference + f.compose_affine(binv, binv * j, binv)
+    for g in (transfer._transfer_sweep(f), apply_transfer(f)):
+        assert g.breakpoints == reference.breakpoints and g.pieces == reference.pieces
+        rebuilt = PiecewisePoly(params, g.breakpoints,
+                                [Polynomial(p.coeffs, params) for p in g.pieces])
+        assert rebuilt.breakpoints == g.breakpoints and rebuilt.pieces == g.pieces
