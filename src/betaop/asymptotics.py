@@ -163,6 +163,8 @@ def hor13_reconstruction(F, params: BetaParams, M: int, N: int,
     |F - expansion| and C = sup_error / (beta^-MN * sup|F^(N)|)."""
     if M > 8:
         raise ValueError("M must be <= 8")
+    if grid < 1:
+        raise ValueError("grid must be >= 1, got %d" % grid)
     gaps = refine_to_level(params, M).gaps
     expansions = [eb_expand(F, g.value, g.right_endpoint(), N) for g in gaps]
     xs = [(2 * i + 1) / (2 * grid) for i in range(grid)]

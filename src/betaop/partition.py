@@ -170,6 +170,8 @@ def lemmacrux_check(params: BetaParams, M: int, s_max: int) -> LemmaCruxReport:
         raise ValueError("M must be <= 6 (piece-count budget)")
     if s_max > 4:
         raise ValueError("s_max must be <= 4 (piece-count budget)")
+    if s_max < 0:
+        raise ValueError("s_max must be >= 0, got %d" % s_max)
     partition = refine_to_level(params, M)
     failures = []
     blocks: dict[tuple, PiecewisePoly] = {}  # (k_word, j_word, s) -> building block

@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import cmp_to_key, lru_cache, partial, reduce
 from itertools import chain
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterable, Sequence
 
-from .field import (BetaParams, QuadNum, _make, _sign, affine_horner, quad_float,
+from .field import (BetaParams, QuadNum, _make, _raw, _sign, affine_horner, quad_float,
                     quad_float_outward, quadnum_from_string)
 
 DEGREE_CAP = 64
@@ -79,7 +79,11 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if other.params is not self.params:
             raise ValueError("adding polynomials over different fields")
-        return _polynomial_sum((self, other), self.params)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        return _pairs_sum([(self.num, self.den), (other.num, other.den)], self.params)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scaled(QuadNum(-1, 0, self.params))
@@ -121,15 +125,6 @@ class Polynomial:
 
 
 _new = partial(object.__new__, Polynomial)  # an empty instance for _reduce to fill
-
-
-def _polynomial_sum(polys: Sequence[Polynomial], params: BetaParams) -> Polynomial:
-    """The sum of polynomials over params, with one lcm and one gcd; a lone
-    non-zero term is returned as it is."""
-    polys = [p for p in polys if p.num]
-    if len(polys) < 2:
-        return polys[0] if polys else Polynomial.zero(params)
-    return _pairs_sum([(p.num, p.den) for p in polys], params)
 
 
 def _pairs_sum(terms: Sequence[tuple], params: BetaParams) -> Polynomial:
@@ -457,20 +452,39 @@ def combine(terms: Sequence[tuple[QuadNum, PiecewisePoly]]) -> PiecewisePoly:
 
 def _piecewise_sum(terms: Sequence[PiecewisePoly], params: BetaParams) -> PiecewisePoly:
     """The sum in canonical form of functions over params (not checked). Zero
-    terms drop out and a lone term is returned as it is; otherwise one walk over
-    all breakpoints in order adds the pieces over each interval of their union."""
+    terms drop out and a lone term is returned as it is; otherwise _walk adds
+    the pieces over each interval of the union of their breakpoints."""
     terms = [f for f in terms if not f.is_zero()]
     if len(terms) < 2:
         return terms[0] if terms else PiecewisePoly.zero(params)
-    cuts = sorted(((b, t) for t, f in enumerate(terms) for b in f.breakpoints[1:-1]),
-                  key=itemgetter(0))
-    at = [0] * len(terms)  # at[t]: the piece of term t on the current interval
-    bps, pcs = [params.zero()], []
-    for b, t in cuts:
-        if b != bps[-1]:  # b closes the interval that starts at bps[-1]
-            pcs.append(_polynomial_sum([f.pieces[i] for f, i in zip(terms, at)], params))
-            bps.append(b)
+    return _walk([(b.a, b.b, b.d, t) for t, f in enumerate(terms) for b in f.breakpoints[1:-1]],
+                 [[(p.num, p.den) if p.num else None for p in f.pieces] for f in terms],
+                 params)
+
+
+def _walk(cuts: list, rows: Sequence[Sequence], params: BetaParams) -> PiecewisePoly:
+    """The canonical function whose piece on each interval between the cuts
+    is the sum of one term from each row. Row t lists a term (pairs, den), not
+    reduced, or None for zero, per interval of its own, and a cut (a, b, d, t)
+    moves row t on to its next term at x = (a + b beta)/d, a normalised
+    triple. The cuts are sorted in place on the triples, one _sign each
+    comparison; one walk over them sums each output piece with one lcm and
+    one gcd, and adjacent identical pieces merge."""
+    cuts.sort(key=cmp_to_key(lambda x, y: _sign(x[0] * y[2] - y[0] * x[2],
+                                                 x[1] * y[2] - y[1] * x[2], params)))
+    at, bps, pcs, last = [0] * len(rows), [params.zero()], [], None
+    for a, b, d, t in cuts:
+        if (a, b, d) != last:  # the cut closes the interval that starts at bps[-1]
+            pcs.append(_column_sum(rows, at, params))
+            bps.append(_raw(a, b, d, params))
+            last = (a, b, d)
         at[t] += 1
-    pcs.append(_polynomial_sum([f.pieces[-1] for f in terms], params))
+    pcs.append(_column_sum(rows, at, params))
     bps.append(params.one())
     return PiecewisePoly._trusted(params, *_merged(bps, pcs))
+
+
+def _column_sum(rows: Sequence[Sequence], at: Sequence[int], params: BetaParams) -> Polynomial:
+    """The sum of the terms rows[t][at[t]], zero when all are None."""
+    terms = [row[i] for row, i in zip(rows, at) if row[i] is not None]
+    return _pairs_sum(terms, params) if terms else Polynomial.zero(params)

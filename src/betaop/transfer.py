@@ -7,11 +7,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from math import gcd
 
-from .field import BetaParams, QuadNum, _raw, _sign
-from .piecewise import PiecewisePoly, Polynomial, _merged, _pairs_sum, _piecewise_sum
+from .field import BetaParams, QuadNum, _sign
+from .piecewise import PiecewisePoly, _piecewise_sum, _walk
 
 NODE_BUDGET = 10 ** 8  # pointwise_transfer_power refuses larger preimage trees
 
@@ -32,7 +32,7 @@ def apply_transfer(f: PiecewisePoly) -> PiecewisePoly:
     and _piecewise_sum adds the branches; a branch whose image misses the
     support comes back as the zero function and drops out. Any other function
     goes through _transfer_sweep, which pulls each non-zero piece back once
-    and sums all branches in one walk over the output cuts."""
+    and hands the branches to piecewise._walk, the walk of _piecewise_sum."""
     params, pieces = f.params, f.pieces
     # the pieces from the first to the last non-zero one are all but the zero
     # ends (one at most at each end: in canonical form no two zero pieces are
@@ -45,56 +45,36 @@ def apply_transfer(f: PiecewisePoly) -> PiecewisePoly:
 
 
 def _transfer_sweep(f: PiecewisePoly) -> PiecewisePoly:
-    """apply_transfer in one sweep over the output cuts.
+    """apply_transfer in one scan of the breakpoints of f.
 
     An interior breakpoint y of f with j = floor(beta*y) cuts branch j at
-    x = beta*y - j unless that is 0 (y = j/beta), and the top branch j = a0
-    ends at a1/beta; the cuts are decided and sorted on integer triples. Each
-    non-zero piece p is pulled back once, to q(x) = p(x/beta)/beta on integer
-    pairs, and branch j reads q(x + j), a Taylor shift by the integer j. The
-    terms of each output piece are summed raw and reduced once."""
-    params, bps, pieces = f.params, f.breakpoints, f.pieces
-    a0, a1, n = params.a0, params.a1, len(pieces)
-    # first[j]: the piece that branch j reads just right of x = 0, the count of
-    # interior breakpoints y <= j/beta; count[j]: the cuts of branch j
-    first, count, cuts, j = [0] + [n - 1] * a0, [0] * (a0 + 1), [], 0
-    for k in range(1, n):
+    x = beta*y - j, decided on integer triples; at y = j/beta that is 0, and
+    branch j starts there instead. The top branch j = a0 ends at a1/beta.
+    Each non-zero piece p is pulled back once, to q(x) = p(x/beta)/beta on
+    integer pairs, and branch j reads q(x + j), a Taylor shift by the integer
+    j. rows[j] lists these terms in the order branch j reads them, and _walk
+    sums the branches over the output cuts."""
+    params, bps = f.params, f.breakpoints
+    a0, a1 = params.a0, params.a1
+    pulled = [_pull_back(p) if p.num else None for p in f.pieces]
+    # row j starts on the piece holding j/beta+: at the first breakpoint y
+    # with beta*y >= j, the piece left of y, or the one right of y if y = j/beta
+    rows, cuts, j = [[pulled[0]]], [], 0
+    for k in range(1, len(pulled)):
         y = bps[k]
         u, v, d = a1 * y.b, y.a + a0 * y.b, y.d  # beta*y = (u + v beta)/d
-        while j < a0 and _sign(u - (j + 1) * d, v, params) >= 0:  # beta*y >= j + 1
+        while j < a0 and (s := _sign(u - (j + 1) * d, v, params)) >= 0:  # beta*y >= j + 1
             j += 1
-            first[j] = k - 1
+            rows.append([_shifted(pulled[k - (s > 0)], j)])
         u -= j * d
-        if u or v:
+        if u or v:  # not y = j/beta, where row j has begun on piece k
             g = gcd(u, v, d)
             cuts.append((u // g, v // g, d // g, j))
-            count[j] += 1
-        else:  # y = j/beta, where branch j starts
-            first[j] = k
+            rows[j].append(_shifted(pulled[k], j))
+    rows += [[_shifted(pulled[-1], i)] for i in range(j + 1, a0 + 1)]
     cuts.append((-a0, 1, 1, a0))  # a1/beta = beta - a0, past which (x + a0)/beta > 1
-    count[a0] += 1
-    cuts.sort(key=cmp_to_key(lambda x, y: _sign(x[0] * y[2] - y[0] * x[2],
-                                                 x[1] * y[2] - y[1] * x[2], params)))
-    # rows[j][i]: the i-th piece that branch j reads, as a term (pairs, den) or
-    # None for a zero piece; the top branch's last entry is the zero past 1
-    pulled = [_pull_back(p) if p.num else None for p in pieces] + [None]
-    rows = [[_shifted(pulled[k], j) for k in range(first[j], first[j] + count[j] + 1)]
-            for j in range(a0 + 1)]
-    at, out_bps, out_pcs, last = [0] * (a0 + 1), [params.zero()], [], None
-
-    def piece() -> Polynomial:
-        terms = [row[i] for row, i in zip(rows, at) if row[i] is not None]
-        return _pairs_sum(terms, params) if terms else Polynomial.zero(params)
-
-    for a, b, d, j in cuts:
-        if (a, b, d) != last:  # the cut closes the interval that starts at out_bps[-1]
-            out_pcs.append(piece())
-            out_bps.append(_raw(a, b, d, params))
-            last = (a, b, d)
-        at[j] += 1
-    out_pcs.append(piece())
-    out_bps.append(params.one())
-    return PiecewisePoly._trusted(params, *_merged(out_bps, out_pcs))
+    rows[a0].append(None)  # the zero past 1
+    return _walk(cuts, rows, params)
 
 
 @lru_cache(maxsize=None)
@@ -105,9 +85,9 @@ def _inverse_powers(params: BetaParams, n: int) -> tuple[tuple, int]:
                  for w in map(params.power, range(-1, -n - 2, -1))), den
 
 
-def _pull_back(p: Polynomial) -> tuple[list, int]:
-    """p(x/beta)/beta as a term (pairs, den), not reduced: coefficient i of p
-    times beta^-(i+1)."""
+def _pull_back(p) -> tuple[list, int]:
+    """p(x/beta)/beta for a Polynomial p, as a term (pairs, den), not reduced:
+    coefficient i of p times beta^-(i+1)."""
     ws, wden = _inverse_powers(p.params, len(p.num) - 1)
     a0, a1, out = p.params.a0, p.params.a1, []
     for (u, v), (s, t) in zip(p.num, ws):

@@ -190,6 +190,8 @@ def test_hor13_exact_cases():
     lin = builtin("linear")
     err_lin, c_lin = hor13_reconstruction(lin, GOLDEN, 2, 2)
     assert err_lin < 1e-12
+    with pytest.raises(ValueError, match="grid"):
+        hor13_reconstruction(lin, GOLDEN, 2, 2, grid=0)
 
 
 def test_hor13_level_scaling():

@@ -94,3 +94,12 @@ def test_every_option_is_set_outside_the_tests():
     passed = set().union(*map(_options_set, _library_sources()))
     assert sorted(param for (name, param), index in _defaulted_options().items()
                   if (name, param) not in passed and (name, index) not in passed) == []
+
+
+def test_pieces_are_summed_only_in_piecewise():
+    """_pairs_sum and _merged, the core of the one summation walk, are named
+    by no betaop module but piecewise.py: any other sum of pieces goes
+    through piecewise._walk."""
+    others = [path.name for path in (ROOT / "src" / "betaop").glob("*.py")
+              if path.name != "piecewise.py" and _names_used(path) & {"_pairs_sum", "_merged"}]
+    assert others == []

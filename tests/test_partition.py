@@ -189,6 +189,8 @@ def test_budget_guards():
         lemmacrux_check(GOLDEN, 7, 1)
     with pytest.raises(ValueError):
         lemmacrux_check(GOLDEN, 2, 5)
+    with pytest.raises(ValueError, match="s_max"):
+        lemmacrux_check(BetaParams(2, 1), 2, -3)  # would check nothing and pass
     gap = PartitionPoint((1,), (0,), GOLDEN.zero())
     with pytest.raises(ValueError):
         building_block(gap, 9)
