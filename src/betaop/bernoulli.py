@@ -6,7 +6,7 @@ asymptotic expansion for integer-base transfer operators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -70,17 +70,11 @@ class EBExpansion:
     jump_coeffs: list[float]
     interval: tuple[QuadNum, QuadNum]
     N: int
-    _len: float = field(init=False)
-    _a: float = field(init=False)
-
-    def __post_init__(self):
-        a, b = self.interval
-        self._a = float(a)
-        self._len = float(b) - float(a)
 
     def reconstruct(self, y: float) -> float:
-        h = self._len
-        u = (y - self._a) / h
+        a, b = map(float, self.interval)
+        h = b - a
+        u = (y - a) / h
         acc = self.mean
         for s, jump in enumerate(self.jump_coeffs, start=1):
             acc += h ** (s - 1) * jump * periodized_eval(s, u) / math.factorial(s)

@@ -20,7 +20,8 @@ import time
 from . import __version__
 from .asymptotics import (epsilon_of, slope_or_nan, two_term_residual_exact,
                           two_term_residual_numeric)
-from .bernoulli import bernoulli_coeffs, integer_base_expansion_residual
+from .bernoulli import (MAX_BERNOULLI_DEGREE, bernoulli_coeffs,
+                        integer_base_expansion_residual)
 from .catalog import builtin
 from .field import BetaParams
 from .partition import refine_to_level
@@ -239,8 +240,9 @@ def cmd_partition_dump(args):
 
 
 def cmd_bernoulli_table(args):
-    if args.n_max < 0:
-        raise ValueError("--n-max must be >= 0, got %d" % args.n_max)
+    if not 0 <= args.n_max <= MAX_BERNOULLI_DEGREE:
+        raise ValueError("--n-max must be in [0, %d], got %d"
+                         % (MAX_BERNOULLI_DEGREE, args.n_max))
     ns = range(args.n_max + 1)
     if args.out == "json":
         text = _json({"schema": 1,

@@ -180,8 +180,6 @@ class QuadNum:
         if o is NotImplemented:
             return NotImplemented
         d, od = self.d, o.d
-        if d == od:
-            return _make(self.a + o.a, self.b + o.b, d, self.params)
         return _make(self.a * od + o.a * d, self.b * od + o.b * d, d * od, self.params)
 
     __radd__ = __add__
@@ -191,8 +189,6 @@ class QuadNum:
         if o is NotImplemented:
             return NotImplemented
         d, od = self.d, o.d
-        if d == od:
-            return _make(self.a - o.a, self.b - o.b, d, self.params)
         return _make(self.a * od - o.a * d, self.b * od - o.b * d, d * od, self.params)
 
     def __rsub__(self, other):

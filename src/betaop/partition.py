@@ -94,8 +94,8 @@ def building_block(gap: PartitionPoint, s: int) -> PiecewisePoly:
     """beta^|k| * B_s(beta^|k| (x - t)) on the gap [t, t + beta^-|k|], zero
     elsewhere (the L1 normalization constant of B_s is deliberately dropped
     so everything stays in Q(beta))."""
-    if s > 8:
-        raise ValueError("s must be <= 8")
+    if not 0 <= s <= 8:
+        raise ValueError("s must be in [0, 8], got %d" % s)
     params = gap.value.params
     scale = params.power(gap.depth)
     poly = bernoulli_polynomial(params, s).compose_affine(scale, -(scale * gap.value), scale)

@@ -16,7 +16,7 @@ from itertools import chain
 from operator import mul
 from typing import Iterable, Sequence
 
-from .field import (BetaParams, QuadNum, _make, _raw, _sign, affine_horner, quad_float,
+from .field import (BetaParams, QuadNum, _make, _raw, _sign, affine_horner,
                     quad_float_outward, quadnum_from_string)
 
 DEGREE_CAP = 64
@@ -27,9 +27,9 @@ class Polynomial:
     """Dense polynomial over Q(beta), stored like FLINT's fmpq_poly: coefficient
     i is (u_i + v_i beta)/den for (u_i, v_i) = num[i], with den > 0, gcd(den, all
     u_i, v_i) = 1 and no trailing (0, 0). The form is unique, so == and hash compare
-    it and the field. `.coeffs` is a read-only QuadNum view, built on first use."""
+    it and the field. `.coeffs` is a read-only QuadNum view, built on each read."""
 
-    __slots__ = ("num", "den", "params", "_coeffs")
+    __slots__ = ("num", "den", "params")
 
     def __init__(self, coeffs: Sequence[QuadNum], params: BetaParams):
         cs = list(coeffs)
@@ -48,7 +48,7 @@ class Polynomial:
         if g != 1:
             den //= g
             num = [(u // g, v // g) for u, v in num]
-        self.num, self.den, self.params, self._coeffs = tuple(num), den, params, None
+        self.num, self.den, self.params = tuple(num), den, params
         return self
 
     @classmethod
@@ -62,9 +62,7 @@ class Polynomial:
 
     @property
     def coeffs(self) -> tuple[QuadNum, ...]:
-        if self._coeffs is None:
-            self._coeffs = tuple(_make(u, v, self.den, self.params) for u, v in self.num)
-        return self._coeffs
+        return tuple(_make(u, v, self.den, self.params) for u, v in self.num)
 
     def is_zero(self) -> bool:
         return not self.num
@@ -79,10 +77,6 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if other.params is not self.params:
             raise ValueError("adding polynomials over different fields")
-        if not other.num:
-            return self
-        if not self.num:
-            return other
         return _pairs_sum([(self.num, self.den), (other.num, other.den)], self.params)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -115,10 +109,6 @@ class Polynomial:
             return self
         return _new()._reduce(*affine_horner(self.num, self.den, scale, shift, factor),
                               self.params)
-
-    def float_coeffs(self) -> list[float]:
-        """[float(c) for c in self.coeffs] bit for bit, without building them."""
-        return [quad_float(u, v, self.den, self.params) for u, v in self.num]
 
     def __repr__(self):
         return "Polynomial([%s])" % ", ".join(c.to_string() for c in self.coeffs)
@@ -281,10 +271,7 @@ class PiecewisePoly:
 
     def scaled(self, factor) -> "PiecewisePoly":
         pcs = [p.scaled(factor) for p in self.pieces]
-        if factor == 0:
-            return PiecewisePoly._trusted(self.params, *_merged(self.breakpoints, pcs))
-        # a non-zero factor keeps adjacent pieces distinct
-        return PiecewisePoly._trusted(self.params, self.breakpoints, pcs)
+        return PiecewisePoly._trusted(self.params, *_merged(self.breakpoints, pcs))
 
     def is_zero(self) -> bool:
         # in canonical form the zero function is the one with a single zero piece
@@ -368,7 +355,7 @@ class PiecewisePoly:
         if not all(0.0 <= x <= 1.0 for x in xs):
             raise ValueError("argument outside [0,1]")
         bps = [float(b) for b in self.breakpoints]
-        coeffs = [p.float_coeffs() for p in self.pieces]
+        coeffs = [[float(c) for c in p.coeffs] for p in self.pieces]
         n = len(self.pieces)
         return [horner(coeffs[bisect_right(bps, x, 1, n) - 1], x) for x in xs]
 

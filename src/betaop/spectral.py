@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bernoulli import bernoulli_polynomial
+from .bernoulli import MAX_BERNOULLI_DEGREE, bernoulli_polynomial
 from .field import BetaParams, QuadNum
 from .piecewise import PiecewisePoly, Polynomial, combine
 from .transfer import apply_transfer
@@ -50,8 +50,8 @@ def make_psi_basis(params: BetaParams, nu: int) -> tuple[PiecewisePoly, ...]:
 
     c_1 = 4 = 1/||B_1||_1, the paper's factor, and c_s = 1 otherwise, so
     the basis for nu is the first 2nu functions of the basis for nu + 1."""
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
+    if not 1 <= nu <= MAX_BERNOULLI_DEGREE + 1:  # B_s for s < nu
+        raise ValueError("nu must be in [1, %d], got %d" % (MAX_BERNOULLI_DEGREE + 1, nu))
     cut = params.power(-1) * params.a1
     ratio = params.power(1) / params.a1
     funcs = []
@@ -79,7 +79,7 @@ def expand_in_basis(g: PiecewisePoly, basis: tuple[PiecewisePoly, ...]) -> list[
     zero = params.zero()
 
     def poly_coeff(poly: Polynomial, deg: int) -> QuadNum:
-        return poly.coeffs[deg] if deg < len(poly.coeffs) else zero
+        return poly.coeffs[deg] if deg < len(poly.num) else zero
 
     coords = [zero] * (2 * nu)
     h = g

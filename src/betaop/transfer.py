@@ -145,18 +145,17 @@ def pointwise_transfer_power(F, params: BetaParams, k: int, xs):
     convention under which the operator formula is an identity on functions
     supported in [0,1]; at x = a1/beta the sum is the left limit of P^k F.
     Since T(1) = a1/beta, the node 1 leads back to the cut through a float
-    node off by up to an ulp, so the cut allows 4 ulps. Accepts a scalar or
-    an array of sample points; evaluation across sample points is
-    embarrassingly parallel (vectorized). The tree may hold NODE_BUDGET
-    nodes over all its levels.
+    node off by up to an ulp, so the cut allows 4 ulps. xs is a flat
+    sequence of float sample points, evaluated all at once (vectorized), and
+    the values come back as an ndarray in its order; a scalar raises
+    TypeError. The tree may hold NODE_BUDGET nodes over all its levels.
     """
     import numpy as np
     if k < 0:
         raise ValueError("k must be >= 0")
-    scalar = np.isscalar(xs) or isinstance(xs, QuadNum)
-    if isinstance(xs, QuadNum):
-        xs = [float(xs)]
-    pts = np.atleast_1d(np.asarray(xs, dtype=float))
+    pts = np.asarray(xs, dtype=float)
+    if pts.ndim != 1:
+        raise TypeError("xs must be a flat sequence of floats, not %d-dimensional" % pts.ndim)
     if not ((pts >= 0) & (pts <= 1)).all():  # a NaN fails both tests
         raise ValueError("sample points must lie in [0,1]")
     beta = params.beta_float()
@@ -188,7 +187,7 @@ def pointwise_transfer_power(F, params: BetaParams, k: int, xs):
     except (TypeError, ValueError):
         vals = np.asarray([F(x) for x in nodes], dtype=float)
     out = np.bincount(origin, weights=vals, minlength=len(pts)) / beta ** k
-    return float(out[0]) if scalar else out
+    return out
 
 
 @dataclass

@@ -55,6 +55,10 @@ def test_usage_errors(capsys):
         "'sin-normalized']\n")
     # malformed invocation
     assert run(["no-such-command"]) == 2
+    capsys.readouterr()
+    # past the Bernoulli degree cap, refused as the option, not as the degree n
+    assert run(["bernoulli-table", "--n-max", "65"]) == 2
+    assert capsys.readouterr().err == "error: --n-max must be in [0, 64], got 65\n"
 
 
 def test_iterate_json_matches_eigen_expansion(capsys):

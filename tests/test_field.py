@@ -247,6 +247,11 @@ def test_unreduced_inputs_normalise_to_one_value():
     # results of arithmetic normalise the same way
     z = (y * 6 + QuadNum(0, Fraction(3, 2), p)) / 6 - QuadNum(0, Fraction(1, 4), p)
     assert z == y and hash(z) == hash(y)
+    # + and - on equal denominators: (1+beta)/2 +- (1-beta)/2 over d = 2, reduced
+    u, v = QuadNum(Fraction(1, 2), Fraction(1, 2), p), QuadNum(Fraction(1, 2), Fraction(-1, 2), p)
+    assert u.d == v.d == 2
+    assert ((u + v).a, (u + v).b, (u + v).d) == (1, 0, 1)
+    assert ((u - v).a, (u - v).b, (u - v).d) == (0, 1, 1)
 
 
 def test_rational_elements_hash_like_the_rationals_they_equal():

@@ -1,6 +1,7 @@
 """The package's export list."""
 
 import ast
+import types
 from pathlib import Path
 
 import betaop
@@ -44,6 +45,21 @@ def test_every_export_is_used_outside_the_tests():
     used = set().union(*map(_names_used, _library_sources()))
     assert [name for name in betaop.__all__
             if name not in used and name not in PROOF_OBJECTS] == []
+
+
+def test_every_public_method_is_used_outside_the_tests():
+    """Each public method, property, classmethod and staticmethod of an
+    exported class is named by a betaop module, a demo or the bench, as
+    each export is. Dunders and the paper's proof objects are the exception."""
+    used = set().union(*map(_names_used, _library_sources()))
+    kinds = (property, classmethod, staticmethod, types.FunctionType)
+    methods = ["%s.%s" % (name, attr) for name in betaop.__all__
+               if isinstance(cls := getattr(betaop, name), type)
+               for attr, value in vars(cls).items()
+               if isinstance(value, kinds) and not attr.startswith("_")]
+    assert [m for m in methods if m.split(".")[1] not in used
+            and m.split(".")[1] not in PROOF_OBJECTS] == []
+    assert "Polynomial.coeffs" in methods and "QuadNum.floor" in methods
 
 
 def _defaulted_options() -> dict:

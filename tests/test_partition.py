@@ -194,6 +194,11 @@ def test_budget_guards():
     gap = PartitionPoint((1,), (0,), GOLDEN.zero())
     with pytest.raises(ValueError):
         building_block(gap, 9)
+    # a negative degree is refused as s, not as the Bernoulli degree n
+    for check, args in ((building_block, (gap, -2)), (collapse_check, (gap, -1)),
+                        (intermediate_check, (BetaParams(2, 1), -1))):
+        with pytest.raises(ValueError, match=r"^s must be in \[0, 8\], got -"):
+            check(*args)
 
 
 @pytest.mark.parametrize("a0,a1", [(1, 1), (2, 1), (3, 2), (5, 5)])

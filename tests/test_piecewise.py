@@ -553,36 +553,37 @@ def test_polynomial_equality_is_equality_of_coefficients(case):
         if a == b:
             assert hash(a) == hash(b)
     assert p == (p + q) - q
+    zero = Polynomial.zero(params)
+    for s in (p + zero, zero + p):  # _pairs_sum of a zero side is the other side
+        assert (s, s.num, s.den, hash(s)) == (p, p.num, p.den, hash(p))
 
 
-@settings(deadline=None, max_examples=150)
-@given(layout_cases())
-def test_float_coeffs_are_bit_equal_to_the_quadnum_floats(case):
-    _, p, q, scale, shift, _ = case
-    for r in (p, p + q, p.compose_affine(scale, shift)):
-        try:
-            expected = [float(c) for c in r.coeffs]
-        except OverflowError:  # a coefficient beyond the float range
-            with pytest.raises(OverflowError):
-                r.float_coeffs()
-        else:
-            assert r.float_coeffs() == expected
+@pytest.fixture
+def coeffs_unread(monkeypatch):
+    """Makes reading Polynomial.coeffs, the QuadNum view, fail."""
+    def read(self):
+        raise AssertionError("Polynomial.coeffs was read")
+    monkeypatch.setattr(Polynomial, "coeffs", property(read))
 
 
-def test_coeffs_is_a_read_only_view_built_on_demand():
+def test_coeffs_is_a_read_only_view_built_on_demand(monkeypatch, coeffs_unread):
     params = BetaParams(2, 1)
     p = Polynomial([QuadNum(Fraction(1, 2), 3, params), QuadNum(0, Fraction(1, 6), params)],
                    params)
     assert p.num == ((3, 18), (0, 1)) and p.den == 6
+    block = PiecewisePoly.from_polynomial(p)  # one piece: the per-branch transfer
+    two = PiecewisePoly(params, [params.zero(), params.rational(Fraction(1, 3)), params.one()],
+                        [p, p.scaled(2)])  # two non-zero pieces: the sweep
+    assert len(two.pieces) == 2
+    for f in (block, two):
+        apply_transfer(f)
+    monkeypatch.undo()  # the view again
     with pytest.raises(AttributeError):
         p.coeffs = ()
-    f = PiecewisePoly.from_polynomial(p)
-    g = apply_transfer(f)
-    assert all(piece._coeffs is None for piece in f.pieces + g.pieces)
     assert p.coeffs == (QuadNum(Fraction(1, 2), 3, params), QuadNum(0, Fraction(1, 6), params))
 
 
-def test_integer_transfer_reads_rationality_from_the_pairs():
+def test_integer_transfer_reads_rationality_from_the_pairs(coeffs_unread):
     params = BetaParams(2, 1)
     f = PiecewisePoly.from_polynomial(Polynomial.from_rationals([1, -3, 2], params))
     # the integer-base operator keeps the degree: x^n goes to q^-n x^n + lower terms
@@ -590,7 +591,6 @@ def test_integer_transfer_reads_rationality_from_the_pairs():
     irrational = f + PiecewisePoly.from_polynomial(Polynomial([params.beta()], params))
     with pytest.raises(ValueError, match="rational coefficients"):
         apply_integer_transfer(irrational, 3)
-    assert f.pieces[0]._coeffs is None and irrational.pieces[0]._coeffs is None
 
 
 def test_polynomials_over_different_fields_are_unequal():
@@ -615,9 +615,11 @@ def test_internal_constructions_stay_canonical():
     f = PiecewisePoly.on_interval(quad, binv, binv * 2)
     for g in (f + f.scaled(-1), f.scaled(0)):
         assert g.breakpoints == [params.zero(), params.one()] and g.is_zero()
-    twice = f.scaled(2)
-    rebuilt = PiecewisePoly(params, twice.breakpoints, twice.pieces)
-    assert twice.breakpoints == rebuilt.breakpoints and twice.pieces == rebuilt.pieces
+    for c in (2, params.beta(), -binv):  # a non-zero factor keeps every breakpoint
+        scaled = f.scaled(c)
+        rebuilt = PiecewisePoly(params, scaled.breakpoints, scaled.pieces)
+        assert scaled.breakpoints == rebuilt.breakpoints == f.breakpoints
+        assert scaled.pieces == rebuilt.pieces == [p.scaled(c) for p in f.pieces]
 
 
 def test_on_interval_rejects_intervals_outside_or_degenerate():

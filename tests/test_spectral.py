@@ -181,6 +181,9 @@ def test_block_triangular_shape_unnormalized():
 def test_bases_are_prefixes_and_the_nu4_matrix_extends_the_nu2_matrix():
     # psi_1..psi_2nu do not depend on the nu they were built for, so the
     # top-left block of a larger restriction matrix is the smaller matrix
+    for nu in (0, 66):  # B_s, s < nu, exists for s <= 64
+        with pytest.raises(ValueError, match=r"^nu must be in \[1, 65\], got %d" % nu):
+            make_psi_basis(GOLDEN, nu)
     for params in ALL_PARAMS_5:
         big = make_psi_basis(params, 4)
         for nu in (1, 2, 3):

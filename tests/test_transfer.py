@@ -229,15 +229,18 @@ def test_pointwise_matches_exact_engine():
 
 def test_pointwise_scalar_and_k0():
     F = builtin("linear")
-    assert pointwise_transfer_power(F, GOLDEN, 0, 0.25) == pytest.approx(0.5)
+    assert pointwise_transfer_power(F, GOLDEN, 0, [0.25]).tolist() == [0.5]
     x = GOLDEN.rational(Fraction(1, 4))
     exact5 = apply_transfer_iterate(F.piecewise(GOLDEN), 5)
-    got = pointwise_transfer_power(F, GOLDEN, 5, x)
-    assert got == pytest.approx(float(exact5.eval(x)), abs=1e-12)
+    got = pointwise_transfer_power(F, GOLDEN, 5, [float(x)])
+    assert got.shape == (1,) and got[0] == pytest.approx(float(exact5.eval(x)), abs=1e-12)
+    for bad in (0.25, x, [[0.25]]):  # the sample points are a flat sequence
+        with pytest.raises(TypeError, match="xs"):
+            pointwise_transfer_power(F, GOLDEN, 5, bad)
 
 
-@pytest.mark.parametrize("xs", [math.nan, -0.25, 1.5, [math.nan, 0.5], [0.5, -1e-300],
-                                np.array([0.5, math.nan])])
+@pytest.mark.parametrize("xs", [pytest.param([x], id=str(x)) for x in (math.nan, -0.25, 1.5)]
+                         + [[math.nan, 0.5], [0.5, -1e-300], np.array([0.5, math.nan])])
 def test_pointwise_refuses_sample_points_outside_the_unit_interval(xs):
     with pytest.raises(ValueError, match=r"sample points must lie in \[0,1\]"):
         pointwise_transfer_power(builtin("cubic"), GOLDEN, 3, xs)
@@ -335,7 +338,7 @@ def test_pointwise_keeps_top_branch_at_the_cut(params):
     x = params.beta().inverse() * params.a1
     for k in (1, 2, 3):
         exact = left_limit(apply_transfer_iterate(F.piecewise(params), k), x)
-        assert pointwise_transfer_power(F, params, k, x) == pytest.approx(
+        assert pointwise_transfer_power(F, params, k, [float(x)])[0] == pytest.approx(
             float(exact), abs=1e-12)
 
 
