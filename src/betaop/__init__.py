@@ -6,13 +6,10 @@ make the operator identities verifiable with zero tolerance; numeric engines
 (preimage trees, mpmath) cover smooth test functions and decay-rate fits.
 """
 
-from .asymptotics import (DecompositionReport, ResidualSeries, TheoremParams,
-                          chosen_level, epsilon_of, fit_slope,
-                          hor13_reconstruction, lemmaPk_decomposition_check,
+from .asymptotics import (ResidualSeries, TheoremParams, epsilon_of, fit_slope,
                           slope_or_nan, two_term_residual_exact,
                           two_term_residual_numeric)
-from .bernoulli import (EBExpansion, bernoulli_coeffs, bernoulli_piecewise,
-                        bernoulli_polynomial, eb_expand,
+from .bernoulli import (bernoulli_coeffs, bernoulli_piecewise, bernoulli_polynomial,
                         integer_base_expansion_residual,
                         integer_transfer_pointwise, periodized_eval)
 from .catalog import SmoothFunction, builtin
@@ -37,8 +34,7 @@ __all__ = [
     "pointwise_transfer_power", "greedy_expand",
     "GreedyDigits", "BudgetExceeded",
     "bernoulli_coeffs", "bernoulli_polynomial", "bernoulli_piecewise",
-    "periodized_eval", "EBExpansion", "eb_expand",
-    "integer_transfer_pointwise", "integer_base_expansion_residual",
+    "periodized_eval", "integer_transfer_pointwise", "integer_base_expansion_residual",
     "SmoothFunction", "builtin",
     "make_psi_basis", "expand_in_basis", "restriction_matrix",
     "block_eigenvalues", "make_u_tilde",
@@ -47,7 +43,5 @@ __all__ = [
     "building_block", "collapse_check", "intermediate_check", "lemmacrux_check",
     "ResidualSeries", "TheoremParams", "epsilon_of", "fit_slope", "slope_or_nan",
     "two_term_residual_exact", "two_term_residual_numeric",
-    "hor13_reconstruction", "DecompositionReport",
-    "lemmaPk_decomposition_check", "chosen_level",
     "__version__",
 ]

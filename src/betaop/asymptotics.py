@@ -1,22 +1,18 @@
 """Quantitative iteration asymptotics: the two-term expansion of P^k F, the
-epsilon/threshold bookkeeping, partition-level Euler-Bernoulli reconstruction,
-the decomposition error budget, and log-linear decay-exponent fitting.
+epsilon/threshold bookkeeping, and log-linear decay-exponent fitting.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from statistics import linear_regression
 
-from .bernoulli import eb_expand
 from .field import BetaParams
 from .piecewise import PiecewisePoly
-from .partition import refine_to_level
 from .spectral import make_u_tilde
 from .transfer import BudgetExceeded, apply_transfer, pointwise_transfer_power
 
@@ -134,7 +130,7 @@ def two_term_residual_numeric(F, params: BetaParams, ks,
     is no upper bound, so residual_upper is NaN and the slope is fitted to
     residual_lower."""
     if grid < 101:
-        raise ValueError("grid must be >= 101")
+        raise ValueError("grid must be >= 101, got %d" % grid)
     u1, _, u3 = make_u_tilde(params)
     xs = [(2 * i + 1) / (2 * grid) for i in range(grid)]
     u1_vals = u1.eval_float(xs)
@@ -153,61 +149,3 @@ def two_term_residual_numeric(F, params: BetaParams, ks,
     return ResidualSeries(ks=ks, residual_lower=lows,
                           residual_upper=array("d", [math.nan]) * len(ks),
                           fitted_slope=slope_or_nan(ks, lows))
-
-
-def hor13_reconstruction(F, params: BetaParams, M: int, N: int,
-                         grid: int = 1001) -> tuple[float, float]:
-    """Partition-level Euler-Bernoulli expansion of F at level M, order N.
-
-    Returns (sup_error, C) where sup_error is the grid sup of
-    |F - expansion| and C = sup_error / (beta^-MN * sup|F^(N)|)."""
-    if M > 8:
-        raise ValueError("M must be <= 8")
-    if grid < 1:
-        raise ValueError("grid must be >= 1, got %d" % grid)
-    gaps = refine_to_level(params, M).gaps
-    expansions = [eb_expand(F, g.value, g.right_endpoint(), N) for g in gaps]
-    xs = [(2 * i + 1) / (2 * grid) for i in range(grid)]
-    lefts = [float(g.value) for g in gaps]
-    worst = max(abs(F(x) - expansions[bisect_right(lefts, x) - 1].reconstruct(x)) for x in xs)
-    dN = F.derivative(math, N)
-    sup_dn = max(abs(dN(x)) for x in xs)
-    denom = params.beta_float() ** (-M * N) * sup_dn
-    c = worst / denom if denom > 0 else float("inf")
-    return worst, c
-
-
-@dataclass
-class DecompositionReport:
-    k: int
-    M: int
-    N: int
-    residual_upper: float
-    scales: tuple[float, float, float]  # (a1/b^2)^(k-M), b^-(k+M), b^(k-M*N)
-    constant: float
-
-    @property
-    def passed(self) -> bool:
-        return self.constant < 100.0
-
-
-def lemmaPk_decomposition_check(F: PiecewisePoly, M: int, k: int,
-                                N: int = 7) -> DecompositionReport:
-    """Exact P^k F, its two-term residual, and the three error scales of the
-    decomposition; the residual must be bounded by a moderate multiple of
-    their maximum."""
-    if k <= M + 1:
-        raise ValueError("need k > M + 1")
-    params = F.params
-    series = two_term_residual_exact(F, k)
-    resid_up = series.residual_upper[-1]
-    b = params.beta_float()
-    scales = ((params.a1 / b ** 2) ** (k - M), b ** (-(k + M)), b ** (k - M * N))
-    c = resid_up / max(scales)
-    return DecompositionReport(k=k, M=M, N=N, residual_upper=resid_up,
-                               scales=scales, constant=c)
-
-
-def chosen_level(k: int, N: int) -> int:
-    """The level choice M = floor(3k/N) used to balance the error budget."""
-    return (3 * k) // N

@@ -1,16 +1,14 @@
-"""Bernoulli polynomials, periodized evaluation, the Euler-Bernoulli
-approximation formula (rescaled to an arbitrary interval), and the complete
-asymptotic expansion for integer-base transfer operators.
+"""Bernoulli polynomials, periodized evaluation, and the complete asymptotic
+expansion for integer-base transfer operators.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import BetaParams, QuadNum
+from .field import BetaParams
 from .piecewise import PiecewisePoly, Polynomial
 from .transfer import BudgetExceeded
 
@@ -61,43 +59,6 @@ def periodized_eval(n: int, x) -> float:
     return acc
 
 
-@dataclass
-class EBExpansion:
-    """Finite Euler-Bernoulli expansion of F on [a,b]: interval mean plus
-    derivative-jump terms; reconstruct() omits the integral remainder."""
-
-    mean: float
-    jump_coeffs: list[float]
-    interval: tuple[QuadNum, QuadNum]
-    N: int
-
-    def reconstruct(self, y: float) -> float:
-        a, b = map(float, self.interval)
-        h = b - a
-        u = (y - a) / h
-        acc = self.mean
-        for s, jump in enumerate(self.jump_coeffs, start=1):
-            acc += h ** (s - 1) * jump * periodized_eval(s, u) / math.factorial(s)
-        return acc
-
-
-def eb_expand(F, a: QuadNum, b: QuadNum, N: int) -> EBExpansion:
-    """Euler-Bernoulli expansion data of F over [a,b] up to order N.
-
-    F supplies its float forms through F.derivative(math, order), order -1
-    an antiderivative (see catalog.SmoothFunction)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if b <= a:
-        raise ValueError("need a < b")
-    af, bf = float(a), float(b)
-    anti = F.derivative(math, -1)
-    mean = (anti(bf) - anti(af)) / (bf - af)
-    derivs = [F.derivative(math, s) for s in range(N)]
-    jumps = [d(bf) - d(af) for d in derivs]
-    return EBExpansion(mean=mean, jump_coeffs=jumps, interval=(a, b), N=N)
-
-
 def integer_transfer_pointwise(F, q: int, k: int, x):
     """(Q^k F)(x) = q^-k * sum_{j<q^k} F((x+j)/q^k), the exact uniform
     preimage tree of the integer-base operator, in mpmath working precision.
@@ -128,8 +89,10 @@ def integer_base_expansion_residual(F, q: int, k: int, N: int, grid: int) -> flo
     precision (raise it with mpmath.workdps), which resolves residuals below
     double round-off."""
     import mpmath as mp
-    if q < 2 or k < 1:
-        raise ValueError("need q >= 2 and k >= 1")
+    if q < 2:
+        raise ValueError("q must be >= 2, got %d" % q)
+    if k < 1:
+        raise ValueError("k must be >= 1, got %d" % k)
     if N < 1:
         raise ValueError("N must be >= 1")
     if grid < 1:

@@ -127,7 +127,7 @@ def apply_transfer_iterate(f: PiecewisePoly, k: int) -> PiecewisePoly:
 def apply_integer_transfer(f: PiecewisePoly, q: int) -> PiecewisePoly:
     """Exact (1/q) * sum_{j=0}^{q-1} f((x+j)/q). Requires purely rational f."""
     if q < 2:
-        raise ValueError("q must be >= 2")
+        raise ValueError("q must be >= 2, got %d" % q)
     params = f.params
     if not all(b.is_rational() for b in f.breakpoints):
         raise ValueError("integer-base operator needs rational breakpoints")

@@ -1,9 +1,11 @@
-"""Two-term iteration asymptotics, the epsilon bookkeeping, partition-level
-reconstruction, decomposition budgets, and slope fitting."""
+"""Two-term iteration asymptotics, the epsilon bookkeeping, and slope
+fitting; the paper's Euler-Bernoulli reconstruction and decomposition budget
+as float oracles."""
 
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -12,10 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from betaop import (BetaParams, BudgetExceeded, PiecewisePoly, Polynomial, apply_transfer,
-                    builtin, chosen_level, epsilon_of, fit_slope, hor13_reconstruction,
-                    lemmaPk_decomposition_check,
-                    make_psi_basis, make_u_tilde, refine_to_level, two_term_residual_exact,
-                    two_term_residual_numeric)
+                    bernoulli_coeffs, builtin, epsilon_of, fit_slope, make_psi_basis,
+                    make_u_tilde, periodized_eval, refine_to_level,
+                    two_term_residual_exact, two_term_residual_numeric)
 import betaop.asymptotics as asymptotics
 import betaop.field as field
 import betaop.piecewise as piecewise
@@ -183,39 +184,83 @@ def test_two_term_slope_numeric_smooth():
     assert series.fitted_slope <= target + 0.05
 
 
+def eb_expansion(F, a, b, N):
+    """The order-N Euler-Bernoulli expansion of F over the float interval
+    [a, b]: the mean of F, the jumps F^(s-1)(b) - F^(s-1)(a) for s = 1..N, and
+    the expansion less its integral remainder as a function of y,
+    mean + sum_s h^(s-1) jump_s B_s((y - a)/h) / s! with h = b - a."""
+    h, anti = b - a, F.derivative(math, -1)
+    mean = (anti(b) - anti(a)) / h
+    jumps = [d(b) - d(a) for d in (F.derivative(math, s) for s in range(N))]
+
+    def reconstruct(y):
+        acc = mean
+        for s, jump in enumerate(jumps, start=1):
+            acc += h ** (s - 1) * jump * periodized_eval(s, (y - a) / h) / math.factorial(s)
+        return acc
+    return mean, jumps, reconstruct
+
+
+def test_eb_expansion_reconstructs_polynomials():
+    # order 1 gives 2x, order 3 gives 3x^2 (the B_2 term ends it), on [0, 1]
+    # and on [1/beta, 1]; a constant has no jumps
+    mean, jumps, lin = eb_expansion(builtin("linear"), 0.0, 1.0, 1)
+    assert mean == pytest.approx(1.0) and jumps == [pytest.approx(2.0)]
+    assert all(lin(y) == pytest.approx(2 * y, abs=1e-13) for y in (0.125, 0.5, 0.875))
+    quad = eb_expansion(builtin("quadratic"), 0.0, 1.0, 3)[2]
+    assert all(quad(y) == pytest.approx(3 * y * y, abs=1e-12) for y in (0.1, 0.37, 0.77))
+    sub = eb_expansion(builtin("linear"), float(BetaParams(2, 1).power(-1)), 1.0, 2)[2]
+    assert all(sub(y) == pytest.approx(2 * y, abs=1e-12) for y in (0.5, 0.7, 0.9))
+    _, jumps, const = eb_expansion(builtin("psi1"), 0.0, 1.0, 4)
+    assert jumps == [pytest.approx(0.0)] * 4 and const(0.3) == pytest.approx(1.0)
+
+
+def test_eb_error_bound_smooth():
+    # the remainder is at most sup|F^(N)| sup|B_N| / N!
+    ts = np.linspace(0, 1, 1001)
+    for name, N in (("sin", 3), ("exp-normalized", 4)):
+        F = builtin(name)
+        reconstruct = eb_expansion(F, 0.0, 1.0, N)[2]
+        bn_max = max(abs(np.polyval([float(c) for c in reversed(bernoulli_coeffs(N))], ts)))
+        sup_dn = max(abs(F.derivative(math, N)(t)) for t in ts)
+        worst = max(abs(F(y) - reconstruct(y)) for y in np.linspace(0.001, 0.999, 997))
+        assert worst <= sup_dn * bn_max / math.factorial(N) * 1.000001
+
+
+GRID = [(2 * i + 1) / 2002 for i in range(1001)]
+
+
+def level_reconstruction_error(F, params, M, N):
+    """Sup over GRID of |F - its order-N Euler-Bernoulli expansions|, one on
+    each gap of the level-M partition."""
+    gaps = refine_to_level(params, M).gaps
+    lefts = [float(g.value) for g in gaps]
+    parts = [eb_expansion(F, a, float(g.right_endpoint()), N)[2] for a, g in zip(lefts, gaps)]
+    return max(abs(F(x) - parts[bisect_right(lefts, x) - 1](x)) for x in GRID)
+
+
 def test_hor13_exact_cases():
-    const = builtin("psi1")
-    err, _ = hor13_reconstruction(const, GOLDEN, 2, 1)
-    assert err < 1e-13
-    lin = builtin("linear")
-    err_lin, c_lin = hor13_reconstruction(lin, GOLDEN, 2, 2)
-    assert err_lin < 1e-12
-    with pytest.raises(ValueError, match="grid"):
-        hor13_reconstruction(lin, GOLDEN, 2, 2, grid=0)
+    assert level_reconstruction_error(builtin("psi1"), GOLDEN, 2, 1) < 1e-13
+    assert level_reconstruction_error(builtin("linear"), GOLDEN, 2, 2) < 1e-12
 
 
 def test_hor13_level_scaling():
-    F = builtin("exp-normalized")
-    N = 4
-    err2, c2 = hor13_reconstruction(F, GOLDEN, 2, N)
-    err3, c3 = hor13_reconstruction(F, GOLDEN, 3, N)
-    assert c2 < 100 and c3 < 100
-    b = GOLDEN.beta_float()
-    ratio = err3 / err2
-    assert ratio < b ** -N * 3
-    assert ratio > b ** -N / 3
+    # the error is C beta^-MN sup|F^(N)| with C < 100, so one level more
+    # divides it by about beta^N
+    F, N, b = builtin("exp-normalized"), 4, GOLDEN.beta_float()
+    sup_dn = max(abs(F.derivative(math, N)(x)) for x in GRID)
+    err2, err3 = (level_reconstruction_error(F, GOLDEN, M, N) for M in (2, 3))
+    assert err2 / (b ** (-2 * N) * sup_dn) < 100 and err3 / (b ** (-3 * N) * sup_dn) < 100
+    assert b ** -N / 3 < err3 / err2 < b ** -N * 3
 
 
 def test_lemmaPk_decomposition():
-    psi3 = make_psi_basis(GOLDEN, 2)[2]
-    rep = lemmaPk_decomposition_check(psi3, 3, 10)
-    assert rep.passed
-    assert rep.residual_upper <= 100 * max(rep.scales)
-    u1 = make_u_tilde(GOLDEN)[0]
-    rep_u1 = lemmaPk_decomposition_check(u1, 3, 10)
-    assert rep_u1.passed
-    with pytest.raises(ValueError):
-        lemmaPk_decomposition_check(psi3, 5, 6)
+    # the residual at k = 10 is within 100 times the largest error scale of
+    # the level M = 3, order N = 7 decomposition
+    k, M, N, b = 10, 3, 7, GOLDEN.beta_float()
+    scales = ((GOLDEN.a1 / b ** 2) ** (k - M), b ** (-(k + M)), b ** (k - M * N))
+    for F in (make_psi_basis(GOLDEN, 2)[2], make_u_tilde(GOLDEN)[0]):
+        assert two_term_residual_exact(F, k).residual_upper[-1] <= 100 * max(scales)
 
 
 def test_fit_slope_noise_floor():
@@ -225,13 +270,6 @@ def test_fit_slope_noise_floor():
     assert slope == pytest.approx(-1.0, abs=1e-9)
     with pytest.raises(ValueError):
         fit_slope([1, 2, 3], [1.0, 0.5, 0.25])  # all k <= FIT_SKIP
-
-
-def test_chosen_level():
-    assert chosen_level(7, 7) == 3
-    assert chosen_level(14, 7) == 6
-    assert chosen_level(10, 7) == 4
-    assert chosen_level(9, 8) == 3
 
 
 def numpy_slope(ks, values):
@@ -351,6 +389,32 @@ def test_upper_bound_of_a_nonzero_residual_is_never_zero():
     # read an upper bound of 0.0 there 14 times, the lower bound still does
     series = two_term_residual_exact(builtin("linear").piecewise(BetaParams(5, 5)), 400)
     assert min(series.residual_upper) == 5e-324 and series.residual_lower.count(0.0) == 14
+
+
+@pytest.mark.parametrize("a0, a1, c, pre, p", [
+    (1, 1, Fraction(1, 3), 0, 8), (2, 1, Fraction(1, 3), 0, 8),
+    (3, 2, Fraction(1, 3), 0, 4), (5, 5, Fraction(3, 10), 2, 3),
+], ids=["1-1", "2-1", "3-2", "5-5"])
+def test_a_jump_has_a_periodic_limit(a0, a1, c, pre, p):
+    # F = 1 on [c, 1] breaks the expansion: beta^k R_k tends to a cycle of
+    # period p, that of c's greedy orbit, from its pre-period on. Exactly, the
+    # step D_k = beta^(k+p) R_(k+p) - beta^k R_k is a non-zero multiple of u2,
+    # so beta P maps it to (-a1/beta) D_k
+    params = BetaParams(a0, a1)
+    u1, u2, u3 = make_u_tilde(params)
+    F = PiecewisePoly(params, [params.zero(), params.rational(c), params.one()],
+                      [Polynomial.zero(params), Polynomial.from_rationals([1], params)])
+    R = [F + u1.scaled(-F.integrate()) + u3.scaled(Fraction(-1, 4))]
+    while len(R) < 35 + p:
+        R.append(apply_transfer(R[-1]))
+    assert all(len(r.pieces) == 3 for r in R)
+    D = [R[k + p].scaled(params.power(k + p)) - R[k].scaled(params.power(k))
+         for k in range(35)]
+    assert not D[pre].is_zero()
+    for k in range(pre, 34):
+        assert D[k + 1].equal_ae(D[k].scaled(-a1 * params.power(-1)))
+        ratio = D[k].boundary_values()[0] / u2.boundary_values()[0]
+        assert D[k].equal_ae(u2.scaled(ratio))
 
 
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=60), st.floats(-3, 0),

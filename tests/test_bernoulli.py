@@ -1,5 +1,4 @@
-"""Bernoulli polynomials, Euler-Bernoulli expansions, and the integer-base
-asymptotic residual."""
+"""Bernoulli polynomials and the integer-base asymptotic residual."""
 
 import hashlib
 import math
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 
 from betaop import (BetaParams, BudgetExceeded, Polynomial, bernoulli, bernoulli_coeffs,
-                    bernoulli_polynomial, builtin, eb_expand, fit_slope,
+                    bernoulli_polynomial, builtin, fit_slope,
                     integer_base_expansion_residual,
                     integer_transfer_pointwise, periodized_eval)
 
@@ -55,55 +54,6 @@ def test_periodized_eval():
     with mp.workdps(40):
         v = periodized_eval(2, mp.mpf("2.25"))
         assert abs(v - (mp.mpf(1) / 16 - mp.mpf(1) / 4 + mp.mpf(1) / 6)) < 1e-35
-
-
-def test_eb_expand_exact_cases():
-    params = GOLDEN
-    a, b = params.zero(), params.one()
-    lin = builtin("linear")  # 2x
-    exp1 = eb_expand(lin, a, b, 1)
-    assert exp1.mean == pytest.approx(1.0)
-    assert exp1.jump_coeffs == [pytest.approx(2.0)]
-    for y in (0.125, 0.5, 0.875):
-        assert exp1.reconstruct(y) == pytest.approx(2 * y, abs=1e-13)
-
-    cubic = builtin("quadratic")  # 3x^2; exact at order 2 up to B2 remainder
-    exp3 = eb_expand(cubic, a, b, 3)
-    for y in (0.1, 0.37, 0.77):
-        assert exp3.reconstruct(y) == pytest.approx(3 * y * y, abs=1e-12)
-
-    # constant: all jumps vanish
-    const = builtin("psi1")
-    expc = eb_expand(const, a, b, 4)
-    assert all(j == pytest.approx(0.0) for j in expc.jump_coeffs)
-    assert expc.reconstruct(0.3) == pytest.approx(1.0)
-
-
-def test_eb_expand_on_subinterval():
-    params = BetaParams(2, 1)
-    a = params.beta().inverse()
-    b = params.one()
-    lin = builtin("linear")
-    exp1 = eb_expand(lin, a, b, 2)
-    for y in (0.5, 0.7, 0.9):
-        if float(a) < y < 1.0:
-            assert exp1.reconstruct(y) == pytest.approx(2 * y, abs=1e-12)
-
-
-def test_eb_error_bound_smooth():
-    params = GOLDEN
-    a, b = params.zero(), params.one()
-    for name, N in (("sin", 3), ("exp-normalized", 4)):
-        F = builtin(name)
-        exp_n = eb_expand(F, a, b, N)
-        coeffs = [float(c) for c in reversed(bernoulli_coeffs(N))]
-        bn_max = max(abs(np.polyval(coeffs, t)) for t in np.linspace(0, 1, 1001))
-        dn = F.derivative(math, N)
-        sup_dn = max(abs(dn(t)) for t in np.linspace(0, 1, 1001))
-        bound = sup_dn * bn_max / math.factorial(N)
-        worst = max(abs(F(y) - exp_n.reconstruct(y))
-                    for y in np.linspace(0.001, 0.999, 997))
-        assert worst <= bound * 1.000001
 
 
 def test_integer_transfer_pointwise_direct_sum():

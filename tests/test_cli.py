@@ -59,6 +59,13 @@ def test_usage_errors(capsys):
     # past the Bernoulli degree cap, refused as the option, not as the degree n
     assert run(["bernoulli-table", "--n-max", "65"]) == 2
     assert capsys.readouterr().err == "error: --n-max must be in [0, 64], got 65\n"
+    # one condition a refusal, naming the parameter and the value given
+    for argv, err in ((["integer-base", "--q", "1"], "q must be >= 2, got 1"),
+                      (["integer-base", "--k-min", "0"], "k must be >= 1, got 0"),
+                      (["asymptotics", "--a0", "1", "--a1", "1", "--engine", "numeric",
+                        "--grid", "50"], "grid must be >= 101, got 50")):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: %s\n" % err
 
 
 def test_iterate_json_matches_eigen_expansion(capsys):

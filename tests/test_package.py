@@ -7,8 +7,6 @@ from pathlib import Path
 import betaop
 
 ROOT = Path(__file__).resolve().parents[1]
-# the paper's proof objects, which only tests/test_asymptotics.py runs
-PROOF_OBJECTS = ("hor13_reconstruction", "lemmaPk_decomposition_check", "chosen_level")
 
 
 def test_all_is_exactly_the_public_classes_and_functions():
@@ -41,24 +39,22 @@ def _names_used(path: Path) -> set:
 def test_every_export_is_used_outside_the_tests():
     """Each exported name is used by a betaop module (its own included, but
     not __init__), a demo or the bench: code that only the tests run belongs
-    in the tests. The paper's proof objects are the exception."""
+    in the tests."""
     used = set().union(*map(_names_used, _library_sources()))
-    assert [name for name in betaop.__all__
-            if name not in used and name not in PROOF_OBJECTS] == []
+    assert [name for name in betaop.__all__ if name not in used] == []
 
 
 def test_every_public_method_is_used_outside_the_tests():
     """Each public method, property, classmethod and staticmethod of an
     exported class is named by a betaop module, a demo or the bench, as
-    each export is. Dunders and the paper's proof objects are the exception."""
+    each export is. Dunders are the exception."""
     used = set().union(*map(_names_used, _library_sources()))
     kinds = (property, classmethod, staticmethod, types.FunctionType)
     methods = ["%s.%s" % (name, attr) for name in betaop.__all__
                if isinstance(cls := getattr(betaop, name), type)
                for attr, value in vars(cls).items()
                if isinstance(value, kinds) and not attr.startswith("_")]
-    assert [m for m in methods if m.split(".")[1] not in used
-            and m.split(".")[1] not in PROOF_OBJECTS] == []
+    assert [m for m in methods if m.split(".")[1] not in used] == []
     assert "Polynomial.coeffs" in methods and "QuadNum.floor" in methods
 
 
@@ -74,8 +70,7 @@ def _defaulted_options() -> dict:
                                 if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
         for scope, skip in scopes:
             for fn in scope.body:
-                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_") \
-                        or fn.name in PROOF_OBJECTS:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
                     continue
                 args = fn.args
                 positional = (args.posonlyargs + args.args)[skip:]
@@ -105,8 +100,7 @@ def _options_set(path: Path) -> set:
 def test_every_option_is_set_outside_the_tests():
     """Each parameter with a default is passed, by keyword or by position, by
     some call in a betaop module, a demo or the bench: an option that only
-    the tests set is a module constant that they can patch. The paper's
-    proof objects are the exception."""
+    the tests set is a module constant that they can patch."""
     passed = set().union(*map(_options_set, _library_sources()))
     assert sorted(param for (name, param), index in _defaulted_options().items()
                   if (name, param) not in passed and (name, index) not in passed) == []

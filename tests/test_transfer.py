@@ -212,6 +212,8 @@ def test_integer_transfer_rejects_irrational():
     u1 = make_u_tilde(GOLDEN)[0]
     with pytest.raises(ValueError):
         apply_integer_transfer(u1, 2)
+    with pytest.raises(ValueError, match="^q must be >= 2, got 1$"):
+        apply_integer_transfer(u1, 1)
 
 
 def test_pointwise_matches_exact_engine():
