@@ -201,18 +201,21 @@ def eb_expansion(F, a, b, N):
     return mean, jumps, reconstruct
 
 
-def test_eb_expansion_reconstructs_polynomials():
-    # order 1 gives 2x, order 3 gives 3x^2 (the B_2 term ends it), on [0, 1]
-    # and on [1/beta, 1]; a constant has no jumps
+def test_eb_expansion_exact_cases():
+    # order 1 gives 2x, order 3 gives 3x^2 (the B_2 term ends it); a
+    # constant has no jumps
     mean, jumps, lin = eb_expansion(builtin("linear"), 0.0, 1.0, 1)
     assert mean == pytest.approx(1.0) and jumps == [pytest.approx(2.0)]
     assert all(lin(y) == pytest.approx(2 * y, abs=1e-13) for y in (0.125, 0.5, 0.875))
     quad = eb_expansion(builtin("quadratic"), 0.0, 1.0, 3)[2]
     assert all(quad(y) == pytest.approx(3 * y * y, abs=1e-12) for y in (0.1, 0.37, 0.77))
-    sub = eb_expansion(builtin("linear"), float(BetaParams(2, 1).power(-1)), 1.0, 2)[2]
-    assert all(sub(y) == pytest.approx(2 * y, abs=1e-12) for y in (0.5, 0.7, 0.9))
     _, jumps, const = eb_expansion(builtin("psi1"), 0.0, 1.0, 4)
     assert jumps == [pytest.approx(0.0)] * 4 and const(0.3) == pytest.approx(1.0)
+
+
+def test_eb_expansion_on_subinterval():
+    sub = eb_expansion(builtin("linear"), float(BetaParams(2, 1).power(-1)), 1.0, 2)[2]
+    assert all(sub(y) == pytest.approx(2 * y, abs=1e-12) for y in (0.5, 0.7, 0.9))
 
 
 def test_eb_error_bound_smooth():
