@@ -100,7 +100,7 @@ def two_term_residual_exact(F: PiecewisePoly, k_max: int,
     itself, R_k = P R_{k-1}, and PIECE_BUDGET bounds the pieces of R_k; for
     polynomial F that is the piece count of P^k F."""
     if terms not in (1, 2):
-        raise ValueError("terms must be 1 or 2")
+        raise ValueError("terms must be 1 or 2, got %r" % (terms,))
     if k_max < 1:
         raise ValueError("k_max must be >= 1, got %d" % k_max)
     u1, _, u3 = make_u_tilde(F.params)

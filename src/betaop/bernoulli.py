@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .field import BetaParams
-from .piecewise import PiecewisePoly, Polynomial
+from .piecewise import PiecewisePoly, Polynomial, horner
 from .transfer import BudgetExceeded
 
 MAX_BERNOULLI_DEGREE = 64
@@ -21,7 +21,7 @@ def bernoulli_coeffs(n: int) -> tuple[Fraction, ...]:
     """Exact rational coefficients of B_n, ascending degree, via the
     recursion B_n' = n*B_{n-1} with zero mean on [0,1]."""
     if not 0 <= n <= MAX_BERNOULLI_DEGREE:
-        raise ValueError("n must be in [0, %d]" % MAX_BERNOULLI_DEGREE)
+        raise ValueError("n must be in [0, %d], got %d" % (MAX_BERNOULLI_DEGREE, n))
     if n == 0:
         return (Fraction(1),)
     prev = bernoulli_coeffs(n - 1)
@@ -44,19 +44,12 @@ def bernoulli_piecewise(params: BetaParams, n: int) -> PiecewisePoly:
     return PiecewisePoly.from_polynomial(bernoulli_polynomial(params, n))
 
 
-def periodized_eval(n: int, x) -> float:
-    """B_n(x - floor(x)): the Z-periodic extension evaluated at x.
-
-    Works on floats and on mpmath numbers."""
-    if isinstance(x, float):
-        frac, coeff = x - math.floor(x), lambda c: c.numerator / c.denominator
-    else:
-        import mpmath as mp
-        frac, coeff = x - mp.floor(x), lambda c: mp.mpf(c.numerator) / c.denominator
-    acc = 0 * frac
-    for c in reversed(bernoulli_coeffs(n)):
-        acc = acc * frac + coeff(c)
-    return acc
+def periodized_eval(n: int, x):
+    """B_n(x - floor(x)): the Z-periodic extension evaluated at x, an mpf at
+    the mpmath working precision."""
+    import mpmath as mp
+    return horner([mp.mpf(c.numerator) / c.denominator for c in bernoulli_coeffs(n)],
+                  x - mp.floor(x))
 
 
 def integer_transfer_pointwise(F, q: int, k: int, x):
@@ -94,7 +87,7 @@ def integer_base_expansion_residual(F, q: int, k: int, N: int, grid: int) -> flo
     if k < 1:
         raise ValueError("k must be >= 1, got %d" % k)
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise ValueError("N must be >= 1, got %d" % N)
     if grid < 1:
         raise ValueError("grid must be >= 1, got %d" % grid)
     xs = [(2 * i + 1) / (2 * grid) for i in range(grid)]

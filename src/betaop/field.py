@@ -108,11 +108,7 @@ def _raw(a: int, b: int, d: int, params: BetaParams) -> "QuadNum":
 def _make(a: int, b: int, d: int, params: BetaParams) -> "QuadNum":
     """(a + b*beta)/d for d > 0, divided through by gcd(a, b, d)."""
     g = gcd(a, b, d)
-    if g != 1:
-        a //= g
-        b //= g
-        d //= g
-    return _raw(a, b, d, params)
+    return _raw(a // g, b // g, d // g, params)
 
 
 def _sign(a: int, b: int, params: BetaParams) -> int:
@@ -316,7 +312,7 @@ class QuadNum:
     def to_decimal(self, digits: int) -> str:
         """Correctly rounded decimal string with `digits` digits after the point."""
         if digits < 1:
-            raise ValueError("digits must be >= 1")
+            raise ValueError("digits must be >= 1, got %d" % digits)
         scale = 10 ** digits
         if self.b == 0:
             n = round(self.p * scale)  # half-even on exact rationals
@@ -351,14 +347,6 @@ def quad_float(a: int, b: int, d: int, params: BetaParams) -> float:
     r = 2 * a + params.a0 * b
     D = params.disc
     m = 64
-    if r and (r < 0) != (b < 0):
-        # r and b*sqrt(D) cancel: |r + b*sqrt(D)| = |N| / |r - b*sqrt(D)| > 2^(len(N) - 1 - L)
-        # for N = r^2 - b^2 D and |r - b*sqrt(D)| < 2^L, so the first m below leaves
-        # |n| > |b| << 62; m stays 64 times a power of 2, the sizes _scaled_isqrt keeps
-        L = max(r.bit_length(), b.bit_length() + (D.bit_length() + 1) // 2) + 1
-        need = b.bit_length() + L + 64 - (r * r - b * b * D).bit_length()
-        while m < need:
-            m *= 2
     while True:
         # sqrt(D) within 2^-m, so n / 2^m is within |b| / 2^m of r + b*sqrt(D); where
         # both ends round to one float (int / int rounds correctly), so does the value

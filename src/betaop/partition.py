@@ -44,7 +44,7 @@ def first_layer_point(params: BetaParams, k: int, j: int) -> QuadNum:
         return binv * j
     if k == 2:
         return binv * params.a0 + params.power(-2) * j
-    raise ValueError("k must be 1 or 2")
+    raise ValueError("k must be 1 or 2, got %d" % k)
 
 
 @dataclass
@@ -65,7 +65,7 @@ def refine_to_level(params: BetaParams, M: int) -> LevelPartition:
     subgaps of depth L+1 and a1 subgaps of depth L+2 (a scaled copy of the
     first layer). The result has gap depths in {M, M+1} exactly."""
     if M < 1:
-        raise ValueError("M must be >= 1")
+        raise ValueError("M must be >= 1, got %d" % M)
     n, prev = 1, 1  # gaps under a gap r levels above M: n_r = a0*n_{r-1} + a1*n_{r-2}
     for _ in range(M):
         n, prev = params.a0 * n + params.a1 * prev, n
@@ -167,9 +167,9 @@ def lemmacrux_check(params: BetaParams, M: int, s_max: int) -> LemmaCruxReport:
     step records a failure for the starting gap and proves nothing on its
     walk."""
     if M > 6:
-        raise ValueError("M must be <= 6 (piece-count budget)")
+        raise ValueError("M must be <= 6 (piece-count budget), got %d" % M)
     if s_max > 4:
-        raise ValueError("s_max must be <= 4 (piece-count budget)")
+        raise ValueError("s_max must be <= 4 (piece-count budget), got %d" % s_max)
     if s_max < 0:
         raise ValueError("s_max must be >= 0, got %d" % s_max)
     partition = refine_to_level(params, M)

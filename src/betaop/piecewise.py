@@ -313,15 +313,13 @@ class PiecewisePoly:
         if (_sign(t.a * E - za * t.d, t.b * E - zb * t.d, params) <= 0  # t <= shift
                 or _sign(s.a * E - ea * s.d, s.b * E - eb * s.d, params) >= 0):  # s >= end
             return PiecewisePoly.zero(params)
-        # the cuts are the breakpoints in (shift, end), breakpoints[lo:hi]; the
-        # miss test placed s and t, and the scan up placed breakpoints[lo - 1],
-        # so the scans compare no breakpoint with shift or end twice
+        # the cuts are the breakpoints in (shift, end), breakpoints[lo:hi]
         lo, hi = first, last + 2
         while lo <= last and _sign((y := breakpoints[lo]).a * E - za * y.d,
                                    y.b * E - zb * y.d, params) <= 0:
             lo += 1
-        while hi > max(lo, first + 1) and _sign((y := breakpoints[hi - 1]).a * E - ea * y.d,
-                                                y.b * E - eb * y.d, params) >= 0:
+        while hi > lo and _sign((y := breakpoints[hi - 1]).a * E - ea * y.d,
+                                  y.b * E - eb * y.d, params) >= 0:
             hi -= 1
         inv = scale.inverse()
         ia, ib, a0, a1 = inv.a, inv.b, params.a0, params.a1

@@ -108,7 +108,7 @@ def block_eigenvalues(params: BetaParams, nu: int) -> list[QuadNum]:
     """Closed-form eigenvalues beta^{1-k}, -a1*beta^{-k-1} of the k-th 2x2
     diagonal block of the restriction matrix, for k = 1..nu."""
     if nu < 1:
-        raise ValueError("nu must be >= 1")
+        raise ValueError("nu must be >= 1, got %d" % nu)
     out = []
     for k in range(1, nu + 1):
         out.extend([params.power(1 - k), -params.power(-k - 1) * params.a1])

@@ -33,11 +33,8 @@ def apply_transfer(f: PiecewisePoly) -> PiecewisePoly:
     support comes back as the zero function and drops out. Any other function
     goes through _transfer_sweep, which pulls each non-zero piece back once
     and hands the branches to piecewise._walk, the walk of _piecewise_sum."""
-    params, pieces = f.params, f.pieces
-    # the pieces from the first to the last non-zero one are all but the zero
-    # ends (one at most at each end: in canonical form no two zero pieces are
-    # adjacent); when they are two or more, their first and last are non-zero
-    if len(pieces) - (not pieces[0].num) - (not pieces[-1].num) < 2:
+    params = f.params
+    if sum(1 for p in f.pieces if p.num) < 2:
         binv = params.power(-1)
         return _piecewise_sum([f.compose_affine(binv, shift, binv)
                                for shift in _branch_shifts(params)], params)
@@ -118,7 +115,7 @@ def _branch_shifts(params: BetaParams) -> tuple[QuadNum, ...]:
 
 def apply_transfer_iterate(f: PiecewisePoly, k: int) -> PiecewisePoly:
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise ValueError("k must be >= 0, got %d" % k)
     for _ in range(k):
         f = apply_transfer(f)
     return f
@@ -152,7 +149,7 @@ def pointwise_transfer_power(F, params: BetaParams, k: int, xs):
     """
     import numpy as np
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise ValueError("k must be >= 0, got %d" % k)
     pts = np.asarray(xs, dtype=float)
     if pts.ndim != 1:
         raise TypeError("xs must be a flat sequence of floats, not %d-dimensional" % pts.ndim)
@@ -211,7 +208,7 @@ class GreedyDigits:
 def greedy_expand(x: QuadNum, k: int) -> GreedyDigits:
     """First k greedy digits of x in base beta, all exact."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ValueError("k must be >= 1, got %d" % k)
     params = x.params
     if x.sign() < 0 or x >= 1:
         raise ValueError("x must lie in [0,1)")

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from betaop import (BetaParams, BudgetExceeded, PiecewisePoly, Polynomial, apply_transfer,
                     bernoulli_coeffs, builtin, epsilon_of, fit_slope, make_psi_basis,
-                    make_u_tilde, periodized_eval, refine_to_level,
+                    make_u_tilde, refine_to_level,
                     two_term_residual_exact, two_term_residual_numeric)
 import betaop.asymptotics as asymptotics
 import betaop.field as field
@@ -193,10 +193,14 @@ def eb_expansion(F, a, b, N):
     mean = (anti(b) - anti(a)) / h
     jumps = [d(b) - d(a) for d in (F.derivative(math, s) for s in range(N))]
 
+    def periodized(s, t):  # B_s(t - floor(t)) in floats
+        coeffs = [c.numerator / c.denominator for c in bernoulli_coeffs(s)]
+        return piecewise.horner(coeffs, t - math.floor(t))
+
     def reconstruct(y):
         acc = mean
         for s, jump in enumerate(jumps, start=1):
-            acc += h ** (s - 1) * jump * periodized_eval(s, (y - a) / h) / math.factorial(s)
+            acc += h ** (s - 1) * jump * periodized(s, (y - a) / h) / math.factorial(s)
         return acc
     return mean, jumps, reconstruct
 

@@ -63,7 +63,10 @@ def test_usage_errors(capsys):
     for argv, err in ((["integer-base", "--q", "1"], "q must be >= 2, got 1"),
                       (["integer-base", "--k-min", "0"], "k must be >= 1, got 0"),
                       (["asymptotics", "--a0", "1", "--a1", "1", "--engine", "numeric",
-                        "--grid", "50"], "grid must be >= 101, got 50")):
+                        "--grid", "50"], "grid must be >= 101, got 50"),
+                      (["iterate", "--a0", "1", "--a1", "1", "--k", "-1"], "k must be >= 0, got -1"),
+                      (["partition-dump", "--a0", "1", "--a1", "1", "--M", "0"],
+                       "M must be >= 1, got 0")):
         assert run(argv) == 2
         assert capsys.readouterr().err == "error: %s\n" % err
 
@@ -471,7 +474,7 @@ def test_integer_base_with_N_below_one_is_a_usage_error(tmp_path, capsys, N):
     out = tmp_path / "f.csv"
     assert run(["integer-base", "--q", "2", "--N", N, "--F", "sin", "--k-min", "2",
                 "--k-max", "4", "--grid", "5", "--output", str(out)]) == 2
-    assert capsys.readouterr() == ("", "error: N must be >= 1\n")
+    assert capsys.readouterr() == ("", "error: N must be >= 1, got %s\n" % N)
     assert not out.exists()
 
 

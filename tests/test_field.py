@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from betaop import BetaParams, QuadNum, quadnum_from_string
-from betaop.field import _scaled_isqrt, quad_float, quad_float_outward
+from betaop.field import _sign, quad_float, quad_float_outward
 
 ALL_PARAMS_5 = [BetaParams(a0, a1) for a0 in range(1, 6)
                 for a1 in range(1, a0 + 1)]
@@ -423,27 +423,18 @@ def test_outward_floats_enclose_the_value(xs):
     assert x.params.rational(Fraction(lo)) <= x <= x.params.rational(Fraction(hi))
 
 
-def quad_float_doubling(a, b, d, params):
-    """quad_float's interval loop as it was: from m = 64 bits, doubling m until
-    both ends of the interval round to one float."""
-    if b == 0:
-        return a / d
-    r, m = 2 * a + params.a0 * b, 64
-    while True:
-        n, den = (r << m) + b * _scaled_isqrt(params.disc, m), (2 * d) << m
-        if abs(n) > abs(b) << 53 and (n - abs(b)) / den == (n + abs(b)) / den:
-            return n / den
-        m *= 2
-
-
 @settings(deadline=None, max_examples=300)
 @given(st.sampled_from(ALL_PARAMS_10), st.integers(1, 400), st.integers(-BIG, BIG).filter(bool),
        st.integers(-2, 2), st.integers(1, BIG))
-def test_quad_float_from_bit_lengths_matches_the_doubling_loop(params, n, c, e, d):
+def test_quad_float_rounds_to_nearest_under_heavy_cancellation(params, n, c, e, d):
     """(a0 - beta)^n = (-a1/beta)^n has coordinates of about n log2(beta) bits
-    and a value below 1, so a = c x.a + e, b = c x.b cancel heavily; quad_float,
-    which sizes its first precision from bit lengths, returns the float of the
-    old loop (both return the correctly rounded value)."""
+    and a value below 1, so a = c x.a + e, b = c x.b cancel heavily. The value
+    (a + b beta)/d, irrational as b != 0, lies strictly between the midpoints
+    from quad_float's result f to both neighbouring floats: each midpoint is
+    an exact P/Q, and value - P/Q has the sign of (a Q - P d) + b Q beta."""
     x = QuadNum(params.a0, -1, params) ** n
     a, b = c * x.a + e, c * x.b
-    assert quad_float(a, b, d, params) == quad_float_doubling(a, b, d, params)
+    f = quad_float(a, b, d, params)
+    for side, g in ((1, math.nextafter(f, -math.inf)), (-1, math.nextafter(f, math.inf))):
+        P, Q = ((Fraction(f) + Fraction(g)) / 2).as_integer_ratio()
+        assert _sign(a * Q - P * d, b * Q, params) == side
