@@ -119,8 +119,8 @@ def _sign(a: int, b: int, params: BetaParams) -> int:
     if a == 0 or (a > 0) == (b > 0):
         return sb
     # here r = -a/b > 0, and beta > r iff r^2 - a0 r - a1 < 0 (beta is the
-    # positive root), i.e. a^2 + a0 a b - a1 b^2 < 0 after scaling by b^2
-    f = a * a + params.a0 * a * b - params.a1 * b * b
+    # positive root), i.e. a (a + a0 b) - a1 b^2 < 0 after scaling by b^2
+    f = a * (a + params.a0 * b) - params.a1 * (b * b)
     return sb if f < 0 else -sb  # equality impossible: beta is irrational
 
 

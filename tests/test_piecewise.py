@@ -5,14 +5,19 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import zip_longest
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import betaop.piecewise as piecewise
 from betaop import (BetaParams, PiecewisePoly, Polynomial, QuadNum, apply_integer_transfer,
-                    apply_transfer, combine, make_psi_basis, make_u_tilde)
+                    apply_transfer, builtin, combine, make_psi_basis, make_u_tilde,
+                    refine_to_level, two_term_residual_exact)
+from betaop.field import _make, _sign, affine_horner, quad_float_outward
 
 GOLDEN = BetaParams(1, 1)
 ALL_PARAMS_5 = [BetaParams(a0, a1) for a0 in range(1, 6)
@@ -725,3 +730,114 @@ def test_eval_float_refuses_points_outside_the_unit_interval(x):
         Polynomial.from_rationals([0, 0, 0, 1], GOLDEN)))
     with pytest.raises(ValueError, match=r"argument outside \[0,1\]"):
         g.eval_float([0.5, x])
+
+
+# -- the bracket's cached Bernstein maps against the conversion they replaced ----
+
+
+def oracle_bernstein(p, a, b):
+    """L times the Bernstein coefficients of p != 0 on [a, b], L the lcm of the
+    C(n, j), as pairs over a denominator: p(a + (b - a)t) by affine_horner, then
+    the row products with the weights C(i, j) L / C(n, j), j <= i."""
+    c, den = affine_horner(p.num, p.den, b - a, a)
+    n = len(c) - 1
+    L = math.lcm(*(math.comb(n, j) for j in range(n + 1)))
+    rows = [[math.comb(i, j) * L // math.comb(n, j) for j in range(i + 1)] for i in range(n + 1)]
+    return [(sum(w * u for w, (u, _) in zip(row, c)), sum(w * v for w, (_, v) in zip(row, c)))
+            for row in rows], den * L
+
+
+def oracle_bracket(f):
+    """sup_norm_bracket with the conversion of oracle_bernstein; the max, split
+    and rounding steps as the package writes them."""
+    params, boxes, lower = f.params, [], ((0, 0), 1)
+
+    def larger(x, y):
+        (xu, xv), xd, (yu, yv), yd = x[0], x[1], y[0], y[1]
+        return y if _sign(yu * xd - xu * yd, yv * xd - xv * yd, params) > 0 else x
+
+    def add(b, den):
+        nonlocal lower
+        size = [(u, v) if _sign(u, v, params) >= 0 else (-u, -v) for u, v in b]
+        boxes.append((reduce(larger, [(m, 1) for m in size])[0], den, b))
+        lower = larger(lower, (larger((size[0], 1), (size[-1], 1))[0], den))
+
+    for a, b, p in zip(f.breakpoints, f.breakpoints[1:], f.pieces):
+        if p.num:
+            add(*oracle_bernstein(p, a, b))
+    wn, wd = piecewise.BRACKET_WIDTH.numerator, piecewise.BRACKET_WIDTH.denominator
+    while True:
+        top, ((lu, lv), ld) = reduce(larger, boxes or [lower]), lower
+        if larger(((lu * (wd + wn), lv * (wd + wn)), ld * wd), top) is not top:
+            break
+        boxes.remove(top)
+        for half in piecewise._halves(top[2]):
+            add(half, top[1] << (len(top[2]) - 1))
+    lo = quad_float_outward(*lower[0], lower[1], params)
+    up = lo if larger(lower, top) is lower else quad_float_outward(*top[0], top[1], params)
+    return lo[0], up[1]
+
+
+@st.composite
+def bernstein_cases(draw):
+    """Pieces of degree 0-8, or zero, cut at beta-adic points (those of a level-2
+    partition) or at twelfths."""
+    params = draw(st.sampled_from(ALL_PARAMS_5))
+    pool = (refine_to_level(params, 2).points[1:-1] if draw(st.booleans())
+            else [params.rational(Fraction(i, 12)) for i in range(1, 12)])
+    cuts = sorted(set(draw(st.lists(st.sampled_from(pool), max_size=3))))
+    # small coefficients, in three examples of four, make a box split at width
+    # 1/64 now and then; the two bumps in the test's examples always do
+    coeff = big_quadnums(params) if draw(st.integers(0, 3)) == 0 else quadnums(params, 50)
+    poly = st.one_of(st.just(()), st.integers(0, 8).flatmap(
+        lambda n: st.lists(coeff, min_size=n + 1, max_size=n + 1)))
+    pcs = [Polynomial(draw(poly), params) for _ in range(len(cuts) + 1)]
+    return PiecewisePoly(params, [params.zero()] + cuts + [params.one()], pcs)
+
+
+BUMP = [0, 1, 0, -1]  # x - x^3, largest at 1/sqrt(3)
+
+
+@settings(deadline=None, max_examples=200)
+@given(bernstein_cases())
+@example(PiecewisePoly.from_polynomial(Polynomial.from_rationals(BUMP, GOLDEN)))
+@example(PiecewisePoly.on_interval(Polynomial.from_rationals(BUMP, BetaParams(2, 1)),
+                                   BetaParams(2, 1).power(-1), BetaParams(2, 1).one()))
+def test_bernstein_maps_and_bracket_match_the_old_conversion(f):
+    # the two sides put L b_i over different denominators, so the values are
+    # compared as elements of Q(beta)
+    params = f.params
+    for a, b, p in zip(f.breakpoints, f.breakpoints[1:], f.pieces):
+        if p.num:
+            rows, D = piecewise._bernstein_map((a.a, a.b, a.d), (b.a, b.b, b.d),
+                                               len(p.num) - 1, params)
+            # the rows are cut after their last non-zero entry: the rest is 0
+            got = [sum((_make(u, v, D, params) * c
+                        for u, v, c in zip_longest(mu, mv, p.coeffs, fillvalue=0)), params.zero())
+                   for mu, mv in rows]
+            pairs, den = oracle_bernstein(p, a, b)
+            assert got == [_make(u, v, den, params) for u, v in pairs]
+    for width in (Fraction(1, 8), Fraction(1, 64)):  # at 1/64 boxes split
+        with patch.object(piecewise, "BRACKET_WIDTH", width):
+            assert f.sup_norm_bracket() == oracle_bracket(f)
+
+
+@pytest.mark.parametrize("a0, a1", [(1, 1), (2, 1), (3, 2), (5, 5)])
+def test_a_residual_series_builds_one_map_per_piece_interval(a0, a1):
+    # every iterate of a polynomial's residual has the pieces [0, a1/beta] and
+    # [a1/beta, 1] of one degree: 40 brackets look up 80 maps and build 2
+    params = BetaParams(a0, a1)
+    piecewise._bernstein_map.cache_clear()
+    two_term_residual_exact(builtin("cubic").piecewise(params), 40)
+    info = piecewise._bernstein_map.cache_info()
+    assert (info.misses, info.hits) == (2, 78)
+
+
+def test_the_bernstein_maps_stay_within_their_cache_size():
+    size, p = piecewise.BERNSTEIN_MAPS, Polynomial.from_rationals([1, 1], GOLDEN)
+    piecewise._bernstein_map.cache_clear()
+    for i in range(1, size + 11):
+        PiecewisePoly.on_interval(p, GOLDEN.zero(), GOLDEN.rational(Fraction(i, size + 11))
+                                  ).sup_norm_bracket()
+    info = piecewise._bernstein_map.cache_info()
+    assert info.misses == size + 10 and info.currsize == info.maxsize == size
