@@ -13,7 +13,7 @@ All identities below are verified in exact arithmetic over Q(beta).
 
 from fractions import Fraction
 
-from betaop import BetaParams, apply_transfer, make_u_tilde
+from betaop import BetaParams, riesz_projections
 
 
 def main() -> None:
@@ -22,23 +22,12 @@ def main() -> None:
         beta = params.beta()
         print("=== a0=%d a1=%d  (beta = %s ~ %s)" % (
             a0, a1, beta.to_string(), beta.to_decimal(10)))
-        u1, u2, u3 = make_u_tilde(params)
-        binv = beta.inverse()
-        lam2 = -(binv ** 2) * a1
-        checks = [
-            ("P u1 = u1", apply_transfer(u1).equal_ae(u1)),
-            ("P u2 = (-a1/beta^2) u2",
-             apply_transfer(u2).equal_ae(u2.scaled(lam2))),
-            ("P u3 = (1/beta) u3",
-             apply_transfer(u3).equal_ae(u3.scaled(binv))),
-            ("integral u1 = 1", (u1.integrate() - 1).is_zero()),
-            ("integral u2 = 0", u2.integrate().is_zero()),
-            ("integral u3 = 0", u3.integrate().is_zero()),
-        ]
-        for label, ok in checks:
+        data = riesz_projections(params)
+        for label, ok in data.checks()[:6]:
             print("  %-26s %s" % (label, "exact" if ok else "FAILED"))
         # the density is piecewise constant with a single jump at a1/beta
-        cut = binv * a1
+        cut = data.eigenvalues[2] * a1
+        u1 = data.u_tilde[0]
         lo = u1.eval(cut * Fraction(1, 2))
         hi = u1.eval((cut + 1) * Fraction(1, 2))
         print("  u1 on [0, a1/beta)  = %s ~ %s" % (lo.to_string(), lo.to_decimal(10)))

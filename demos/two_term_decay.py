@@ -13,7 +13,7 @@ no beta^{-k} term at all (its boundary jump vanishes).
 import math
 
 from betaop import (BetaParams, apply_transfer, builtin, make_psi_basis,
-                    make_u_tilde, two_term_residual_exact,
+                    riesz_projections, two_term_residual_exact,
                     two_term_residual_numeric)
 
 
@@ -24,8 +24,9 @@ def main() -> None:
 
     print("\nexact counterexample: P^k chi - u1 - (-1/beta^2)^k u2 == 0")
     psi1 = make_psi_basis(params, 2)[0]
-    u1, u2, _ = make_u_tilde(params)
-    lam = -(params.beta().inverse() ** 2)
+    data = riesz_projections(params)
+    u1, u2, _ = data.u_tilde
+    lam = data.eigenvalues[1]
     cur, lam_k = psi1, params.one()
     for k in range(1, 13):
         cur = apply_transfer(cur)

@@ -144,6 +144,24 @@ class SpectralData:
     projections: tuple[Matrix, ...]
     u_tilde: tuple[PiecewisePoly, PiecewisePoly, PiecewisePoly]
 
+    def checks(self) -> list[tuple[str, bool]]:
+        """The (label, holds) pairs that eigen-check prints, decided exactly; the
+        algebra is Pi_i Pi_j = [i = j] Pi_i and M Pi_i = Pi_i M = lam_i Pi_i."""
+        _, lam2, binv, _ = self.eigenvalues
+        (u1, u2, u3), m, projs = self.u_tilde, self.matrix, self.projections
+        zero = mat_scale(m, self.params.zero())
+        algebra = all(mat_equal(mat_mul(pi, pj), pi if i == j else zero)
+                      for i, pi in enumerate(projs) for j, pj in enumerate(projs))
+        algebra &= all(mat_equal(mat_mul(a, b), mat_scale(pi, lam))
+                       for pi, lam in zip(projs, self.eigenvalues) for a, b in ((m, pi), (pi, m)))
+        return [("P u1 = u1", apply_transfer(u1).equal_ae(u1)),
+                ("P u2 = (-a1/beta^2) u2", apply_transfer(u2).equal_ae(u2.scaled(lam2))),
+                ("P u3 = (1/beta) u3", apply_transfer(u3).equal_ae(u3.scaled(binv))),
+                ("integral u1 = 1", u1.integrate() == 1),
+                ("integral u2 = 0", u2.integrate() == 0),
+                ("integral u3 = 0", u3.integrate() == 0),
+                ("projection algebra on the 4x4 restriction matrix", algebra)]
+
 
 @lru_cache(maxsize=None)
 def riesz_projections(params: BetaParams) -> SpectralData:

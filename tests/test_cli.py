@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, output formats, run manifests, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -174,6 +175,29 @@ def test_exact_budget_exit_code(monkeypatch):
     monkeypatch.setattr(asymptotics, "PIECE_BUDGET", 1)
     assert run(["asymptotics", "--a0", "1", "--a1", "1", "--F", "linear",
                 "--k-max", "10"]) == 3
+
+
+def test_failed_eigen_check_exits_1(tmp_path, capsys, monkeypatch):
+    """With eigenvalues 2 and 4 swapped, two checks fail: the text report
+    prints two FAIL lines, and the JSON report and the manifest count them."""
+    import betaop.cli as cli
+    data = cli.riesz_projections(BetaParams(2, 1))
+    lam1, lam2, lam3, lam4 = data.eigenvalues
+    swapped = dataclasses.replace(data, eigenvalues=(lam1, lam4, lam3, lam2))
+    monkeypatch.setattr(cli, "riesz_projections", lambda params: swapped)
+    argv = ["eigen-check", "--a0", "2", "--a1", "1"]
+    assert run(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [l for l in lines if l.startswith("FAIL")] == [
+        "FAIL P u2 = (-a1/beta^2) u2",
+        "FAIL projection algebra on the 4x4 restriction matrix"]
+    assert run([*argv, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == 2
+    target = tmp_path / "eigen.txt"
+    assert run([*argv, "--output", str(target)]) == 1
+    assert target.read_text().count("FAIL") == 2
+    manifest = json.loads((tmp_path / "eigen.txt.manifest.json").read_text())
+    assert manifest["failures"] == 2
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

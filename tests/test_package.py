@@ -113,3 +113,15 @@ def test_pieces_are_summed_only_in_piecewise():
     others = [path.name for path in (ROOT / "src" / "betaop").glob("*.py")
               if path.name != "piecewise.py" and _names_used(path) & {"_pairs_sum", "_merged"}]
     assert others == []
+
+
+def test_matrix_helpers_are_named_only_in_spectral():
+    """The exact matrix toolkit (mat_eye, mat_mul, mat_sub, mat_scale,
+    mat_equal) and sylvester_projections are named by no betaop module but
+    spectral.py: a check on the restriction matrix or its projections is
+    a method of SpectralData."""
+    toolkit = {"mat_eye", "mat_mul", "mat_sub", "mat_scale", "mat_equal",
+               "sylvester_projections"}
+    others = [path.name for path in (ROOT / "src" / "betaop").glob("*.py")
+              if path.name != "spectral.py" and _names_used(path) & toolkit]
+    assert others == []

@@ -1,6 +1,7 @@
 """Restriction matrices, block eigenvalues, Riesz projections, eigenfunctions,
 and iterate decay rates."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -298,6 +299,24 @@ def test_projection_algebra():
             for j, pj in enumerate(projs):
                 if i != j:
                     assert mat_equal(mat_mul(pi, pj), z)
+
+
+@pytest.mark.parametrize("a0,a1", [(1, 1), (2, 1), (3, 2), (5, 5)])
+def test_every_spectral_check_holds(a0, a1):
+    checks = riesz_projections(BetaParams(a0, a1)).checks()
+    assert len(checks) == 7 and all(ok for _, ok in checks)
+
+
+def test_spectral_checks_fail_on_swapped_eigenvalues():
+    """A negative control: with lambda_2 and lambda_4 swapped, exactly the
+    checks that read them fail, the u2 eigenrelation and the projection
+    algebra; the matrix, projections and eigenfunctions stay as they were."""
+    data = riesz_projections(BetaParams(2, 1))
+    lam1, lam2, lam3, lam4 = data.eigenvalues
+    checks = dataclasses.replace(data, eigenvalues=(lam1, lam4, lam3, lam2)).checks()
+    assert [ok for _, ok in checks] == [True, False, True, True, True, True, False]
+    assert [label for label, ok in checks if not ok] == [
+        "P u2 = (-a1/beta^2) u2", "projection algebra on the 4x4 restriction matrix"]
 
 
 def test_psi_residual_decay_rates():
