@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bernoulli import bernoulli_polynomial, bernoulli_piecewise
-from .field import BetaParams, QuadNum
+from .field import BetaParams, QuadNum, _make
 from .piecewise import PiecewisePoly
 from .transfer import BudgetExceeded, apply_transfer
 
@@ -35,16 +35,23 @@ class PartitionPoint:
         return self.value.params.power(-self.depth)
 
     def right_endpoint(self) -> QuadNum:
-        return self.value + self.gap_length()
+        t, w = self.value, self.gap_length()
+        return _make(t.a * w.d + w.a * t.d, t.b * w.d + w.b * t.d, t.d * w.d, t.params)
+
+
+def _times(x: QuadNum, u: int, v: int, m: int) -> QuadNum:
+    """(u + v*beta)*x + m for integers u, v and m, on the triple of x."""
+    a, b, d, params = x.a, x.b, x.d, x.params
+    return _make(u * a + v * b * params.a1 + m * d, u * b + v * a + v * b * params.a0, d, params)
 
 
 def first_layer_point(params: BetaParams, k: int, j: int) -> QuadNum:
-    binv = params.power(-1)
-    if k == 1:
-        return binv * j
-    if k == 2:
-        return binv * params.a0 + params.power(-2) * j
-    raise ValueError("k must be 1 or 2, got %d" % k)
+    """t(k, j), which is (j + (k-1)*a0*beta) * beta^-k."""
+    if k not in (1, 2):
+        raise ValueError("k must be 1 or 2, got %d" % k)
+    if not 0 <= j < (params.a0, params.a1)[k - 1]:
+        raise ValueError("j must be in [0, a%d) for k=%d, got %d" % (k - 1, k, j))
+    return _times(params.power(-k), j, (k - 1) * params.a0, 0)
 
 
 @dataclass
@@ -72,21 +79,24 @@ def refine_to_level(params: BetaParams, M: int) -> LevelPartition:
         if n > MAX_GAPS:
             raise BudgetExceeded("level %d has over %d gaps" % (M, MAX_GAPS))
     gaps: list[PartitionPoint] = []
-    # offsets[depth][(k, j)] = beta^-depth * t(k, j), precomputed once
+    # offsets[depth][(k, j)] = beta^-depth * t(k, j), an integer pair over den = a1^(M+1)
     layer = [(k, j) for k in (1, 2) for j in range(params.a0 if k == 1 else params.a1)]
-    offsets = [{(k, j): params.power(-depth) * first_layer_point(params, k, j)
-                for k, j in layer} for depth in range(M)]
+    den = params.a1 ** (M + 1)  # a multiple of the denominator of each beta^-n, n <= M+1
+    offsets = [{(k, j): (w.a * (den // w.d), w.b * (den // w.d)) for k, j in layer
+                for w in [_times(params.power(-depth - k), j, (k - 1) * params.a0, 0)]}
+               for depth in range(M)]
 
     # depth-first with an explicit stack; children pushed in reverse pop in gap order
-    stack = [((), (), params.zero(), 0)]
+    stack = [((), (), 0, 0, 0)]
     while stack:
-        k_word, j_word, value, depth = stack.pop()
+        k_word, j_word, u, v, depth = stack.pop()
         if depth >= M:
-            gaps.append(PartitionPoint(k_word, j_word, value))
+            gaps.append(PartitionPoint(k_word, j_word, _make(u, v, den, params)))
             continue
         off = offsets[depth]
         for k, j in reversed(layer):
-            stack.append((k_word + (k,), j_word + (j,), value + off[(k, j)], depth + k))
+            ou, ov = off[(k, j)]
+            stack.append((k_word + (k,), j_word + (j,), u + ou, v + ov, depth + k))
     return LevelPartition(params=params, M=M, gaps=gaps)
 
 
@@ -97,8 +107,9 @@ def building_block(gap: PartitionPoint, s: int) -> PiecewisePoly:
     if not 0 <= s <= 8:
         raise ValueError("s must be in [0, 8], got %d" % s)
     params = gap.value.params
-    scale = params.power(gap.depth)
-    poly = bernoulli_polynomial(params, s).compose_affine(scale, -(scale * gap.value), scale)
+    scale = params.power(gap.depth)  # in Z[beta]: scale.d = 1
+    shift = _times(gap.value, -scale.a, -scale.b, 0)
+    poly = bernoulli_polynomial(params, s).compose_affine(scale, shift, scale)
     return PiecewisePoly.on_interval(poly, gap.value, gap.right_endpoint())
 
 
@@ -145,9 +156,8 @@ def _successor(gap: PartitionPoint) -> PartitionPoint:
     """The gap that T(x) = beta*x - floor(beta*x) maps this gap onto, one
     level shallower: (1, j)+u goes to u and (2, j)+u to (1, j)+u. Its left
     endpoint is beta*t - j_1, or beta*t - a0 for a first letter 2."""
-    params = gap.value.params
     k1, j1 = gap.k_word[0], gap.j_word[0]
-    value = gap.value * params.power(1) - (j1 if k1 == 1 else params.a0)
+    value = _times(gap.value, 0, 1, -(j1 if k1 == 1 else gap.value.params.a0))
     if k1 == 1:
         return PartitionPoint(gap.k_word[1:], gap.j_word[1:], value)
     return PartitionPoint((1,) + gap.k_word[1:], gap.j_word, value)

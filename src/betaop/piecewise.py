@@ -22,6 +22,8 @@ from .field import (BetaParams, QuadNum, _make, _raw, _sign, affine_horner,
 DEGREE_CAP = 64
 BERNSTEIN_MAPS = 128  # _bernstein_map keeps the maps of this many (interval, degree) keys
 BRACKET_WIDTH = Fraction(1, 8)  # sup_norm_bracket splits while upper > (1 + this) lower
+# compose_affine's 1/scale, keyed on the triple of scale (beta^-1 in the transfer)
+_inverse = lru_cache(maxsize=16)(lambda a, b, d, params: _raw(a, b, d, params).inverse())
 
 
 class Polynomial:
@@ -249,7 +251,7 @@ class PiecewisePoly:
         if (above_zero < 0 or above_one > 0
                 or _sign(b.a * a.d - a.a * b.d, b.b * a.d - a.b * b.d, params) <= 0):
             raise ValueError("interval must be non-degenerate inside [0,1]")
-        bps, pcs = [params.zero()], []
+        bps, pcs = [_raw(0, 0, 1, params)], []
         zp = Polynomial.zero(params)
         if above_zero > 0:
             bps.append(a)
@@ -257,7 +259,7 @@ class PiecewisePoly:
         bps.append(b)
         pcs.append(poly)
         if above_one < 0:
-            bps.append(params.one())
+            bps.append(_raw(1, 0, 1, params))
             pcs.append(zp)
         # the checks above imply everything the public constructor checks
         return cls._trusted(params, *_merged(bps, pcs))
@@ -344,14 +346,14 @@ class PiecewisePoly:
         while hi > lo and _sign((y := breakpoints[hi - 1]).a * E - ea * y.d,
                                   y.b * E - eb * y.d, params) >= 0:
             hi -= 1
-        inv = scale.inverse()
+        inv = _inverse(scale.a, scale.b, scale.d, params)
         ia, ib, a0, a1 = inv.a, inv.b, params.a0, params.a1
-        bps = [params.zero()]
+        bps = [breakpoints[0]]  # 0 and 1 are shared with f
         for y in breakpoints[lo:hi]:
             p, q = y.a * E - za * y.d, y.b * E - zb * y.d
             bps.append(_make(p * ia + q * ib * a1, p * ib + q * ia + q * ib * a0,
                              y.d * E * inv.d, params))
-        bps.append(params.one())
+        bps.append(breakpoints[-1])
         # output interval i carries input piece lo - 1 + i, or zero off the support
         zp, pcs = Polynomial.zero(params), []
         for m in range(lo - 1, hi):

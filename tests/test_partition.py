@@ -2,14 +2,16 @@
 the exact collapse of blocks under powers of the transfer operator."""
 
 import gc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from betaop import (BetaParams, BudgetExceeded, PartitionPoint, apply_transfer,
-                    bernoulli_piecewise, building_block, collapse_check,
-                    first_layer_point, intermediate_check, lemmacrux_check,
-                    refine_to_level)
+from betaop import (BetaParams, BudgetExceeded, PartitionPoint, PiecewisePoly, QuadNum,
+                    apply_transfer, bernoulli_piecewise, bernoulli_polynomial,
+                    building_block, collapse_check, first_layer_point, intermediate_check,
+                    lemmacrux_check, refine_to_level)
 from betaop.partition import _successor
 
 GOLDEN = BetaParams(1, 1)
@@ -24,6 +26,20 @@ def test_first_layer_points():
     assert first_layer_point(p, 2, 0) == binv * 2
     with pytest.raises(ValueError):
         first_layer_point(p, 3, 0)
+
+
+def test_first_layer_point_refuses_a_digit_off_the_layer():
+    # j/beta for j = 5 would be 3.09, and j = -1 addresses no gap
+    with pytest.raises(ValueError, match=r"^j must be in \[0, a0\) for k=1, got 5$"):
+        first_layer_point(GOLDEN, 1, 5)
+    with pytest.raises(ValueError, match=r"^j must be in \[0, a1\) for k=2, got -1$"):
+        first_layer_point(GOLDEN, 2, -1)
+    p = BetaParams(3, 2)
+    for k, top in ((1, 3), (2, 2)):
+        assert [first_layer_point(p, k, j) for j in range(top)] == [
+            g.value for g in refine_to_level(p, 1).gaps if g.k_word == (k,)]
+        with pytest.raises(ValueError, match="for k=%d, got %d$" % (k, top)):
+            first_layer_point(p, k, top)
 
 
 def test_golden_level2_points():
@@ -153,6 +169,75 @@ def test_lemmacrux_builds_each_block_once(monkeypatch, args, blocks):
     # one block per distinct (word, s); one transfer per non-empty word
     assert calls["block"] == blocks
     assert calls["transfer"] == blocks - (s_max + 1)
+
+
+# -- the collapse geometry on QuadNum operators, as it ran before the integer
+# triples: oracles for building_block, right_endpoint and _successor
+
+def oracle_block(gap, s):
+    params = gap.value.params
+    scale = params.power(gap.depth)
+    poly = bernoulli_polynomial(params, s).compose_affine(scale, -(scale * gap.value), scale)
+    return PiecewisePoly.on_interval(poly, gap.value, gap.value + gap.gap_length())
+
+
+def oracle_successor(gap):
+    params = gap.value.params
+    k1, j1 = gap.k_word[0], gap.j_word[0]
+    value = gap.value * params.power(1) - (j1 if k1 == 1 else params.a0)
+    if k1 == 1:
+        return PartitionPoint(gap.k_word[1:], gap.j_word[1:], value)
+    return PartitionPoint((1,) + gap.k_word[1:], gap.j_word, value)
+
+
+def assert_geometry_matches_the_oracles(gap, s):
+    block, expected = building_block(gap, s), oracle_block(gap, s)
+    assert block.equal_ae(expected)
+    assert [(b.a, b.b, b.d) for b in block.breakpoints] == [
+        (b.a, b.b, b.d) for b in expected.breakpoints]
+    assert [(p.num, p.den) for p in block.pieces] == [(p.num, p.den) for p in expected.pieces]
+    assert gap.right_endpoint() == gap.value + gap.gap_length()
+    if gap.k_word:
+        assert _successor(gap) == oracle_successor(gap)
+
+
+def test_triple_geometry_matches_the_operator_oracles_on_every_gap():
+    for params in ALL_PARAMS_5:
+        for M in range(1, 5):
+            for i, gap in enumerate(refine_to_level(params, M).gaps):
+                assert word_point(params, gap) == (gap.value, gap.depth)
+                assert_geometry_matches_the_oracles(gap, i % 9)
+
+
+@st.composite
+def drawn_gaps(draw):
+    """A gap of any depth up to 24: a word of (k, j) letters with j < a0 for
+    k = 1 and j < a1 for k = 2, its left endpoint from the operator oracle."""
+    params = draw(st.sampled_from(ALL_PARAMS_5))
+    ks = tuple(draw(st.lists(st.sampled_from((1, 2)), max_size=12)))
+    js = tuple(draw(st.integers(0, (params.a0, params.a1)[k - 1] - 1)) for k in ks)
+    gap = PartitionPoint(ks, js, params.zero())
+    return PartitionPoint(ks, js, word_point(params, gap)[0])
+
+
+@settings(deadline=None, max_examples=200)
+@given(drawn_gaps(), st.integers(0, 8))
+def test_triple_geometry_matches_the_operator_oracles_on_drawn_gaps(gap, s):
+    assert_geometry_matches_the_oracles(gap, s)
+
+
+def test_a_warm_collapse_walk_makes_no_quadnum_operator_call(monkeypatch):
+    params = BetaParams(2, 1)
+    assert lemmacrux_check(params, 3, 3).passed and intermediate_check(params, 3)
+    calls = Counter()
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__neg__", "__truediv__", "__rtruediv__", "inverse"):
+        def counted(*args, _name=name, _fn=getattr(QuadNum, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(QuadNum, name, counted)
+    assert lemmacrux_check(params, 3, 3).passed and intermediate_check(params, 3)
+    assert calls == Counter()
 
 
 def test_partition_and_lemmacrux_leave_no_reference_cycles():
