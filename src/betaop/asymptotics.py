@@ -8,13 +8,13 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from statistics import linear_regression
 
 from .field import BetaParams
-from .piecewise import PiecewisePoly
+from .piecewise import PiecewisePoly, _bracket
 from .spectral import make_u_tilde
-from .transfer import BudgetExceeded, apply_transfer, pointwise_transfer_power
+from .transfer import (BudgetExceeded, _bernstein_iterates, apply_transfer,
+                       apply_transfer_iterate, pointwise_transfer_power)
 
 NOISE_FLOOR_RATIO = 1e-12
 FIT_SKIP = 5  # entries with k <= FIT_SKIP are excluded from slope fits
@@ -66,28 +66,53 @@ class TheoremParams:
 def epsilon_of(params: BetaParams, N: int | None = None) -> TheoremParams:
     """The contraction exponent epsilon for a given smoothness order N,
     together with the threshold 3 ln(beta^2/a1) / ln(beta/a1) that N must
-    exceed. Whether N exceeds it is decided exactly: the inequality is
-    beta^(N-6) > a1^(N-3) with N > 6, and it is also the condition for
-    epsilon > 0. The float threshold is within a few a0 ulps of the true
-    one, so only an N that near it needs the exact powers. N None takes the
-    least admitted N; at a1 = 1 the threshold is exactly 6, though its float
-    may read 5.999999999999999."""
-    b = params.beta_float()
+    exceed, also the condition for epsilon > 0. The threshold is 6 + s for
+    s = 3 ln(a1)/ln(beta/a1), and N exceeds it iff N >= 7 + floor(s), decided
+    by _floor_of_excess. N None takes that least admitted N."""
     a1 = params.a1
-    threshold = 3 * math.log(b * b / a1) / math.log(b / a1)
-
-    def admitted(n):
-        if abs(n - threshold) > 1e-12 * params.a0 * threshold:
-            return n > threshold
-        return n > 6 and params.power(n - 6) > a1 ** (n - 3)
-
+    # ln(beta/a1) as log1p of the exact (beta - a1)/a1, accurate also where
+    # beta/a1 rounds to 1.0
+    l1, l2 = math.log1p(float((params.beta() - a1) / a1)), math.log(a1)
+    floor, frac = _floor_of_excess(params, 3 * l2 / l1)
     if N is None:
-        N = next(n for n in count(max(7, math.floor(threshold))) if admitted(n))
-    elif not admitted(N):
-        raise ValueError("N=%d is at or below the threshold %.6f" % (N, threshold))
-    epsilon = min(3.0 / N,
-                  (-(3.0 / N) * math.log(b * b / a1) + math.log(b / a1)) / math.log(b))
-    return TheoremParams(N=N, epsilon=epsilon, N_min_bound=threshold)
+        N = 7 + floor
+    elif N < 7 + floor:
+        raise ValueError("N=%d is at or below the threshold %.6f" % (N, 6 + floor + frac))
+    # the second term is (ln(beta/a1) - (3/N) ln(beta^2/a1))/ln(beta), which is
+    # l1 (N - 6 - s)/(N ln(beta)), without its cancellation near the threshold
+    epsilon = min(3.0 / N, l1 * (N - 7 - floor + (1 - frac)) / (N * (l1 + l2)))
+    return TheoremParams(N=N, epsilon=epsilon, N_min_bound=6 + floor + frac)
+
+
+def _floor_of_excess(params: BetaParams, s: float) -> tuple[int, float]:
+    """floor(s) and, as a float, s - floor(s), for s = 3 ln(a1)/ln(beta/a1)
+    given its float. s is 0 at a1 = 1 and irrational otherwise (beta^m is
+    irrational for m >= 1), so floor(s) is decided on bounds of s: the float
+    widened by 2^-45, which covers the rounding of its logs; near an integer
+    m <= 64, exactly by s < m iff beta^m > a1^(m + 3); else on mpmath
+    intervals at doubling precision. Only these import mpmath."""
+    lo, hi = math.floor(s * (1 - 2.0 ** -45)), math.floor(s * (1 + 2.0 ** -45))
+    if lo == hi:
+        return lo, s - lo
+    if hi <= 64:
+        floor = hi - (params.power(hi) > params.a1 ** (hi + 3))
+        return floor, min(max(s - floor, 0.0), 1.0)
+    from mpmath import iv
+    saved, iv.prec = iv.prec, 128
+    try:
+        while True:  # (beta - a1)/a1 = (a0 - 2 a1 + sqrt(a0^2 + 4 a1))/(2 a1)
+            x = 3 * iv.log(params.a1) / iv.log1p(
+                (params.a0 - 2 * params.a1 + iv.sqrt(params.disc)) / (2 * params.a1))
+            if int(x.a) == int(x.b):
+                return int(x.a), float((x - int(x.a)).mid)
+            iv.prec *= 2
+    finally:
+        iv.prec = saved
+
+
+def _check_pieces(k: int, pieces: int) -> None:
+    if pieces > PIECE_BUDGET:
+        raise BudgetExceeded("piece budget exceeded at k=%d" % k)
 
 
 def two_term_residual_exact(F: PiecewisePoly, k_max: int,
@@ -98,7 +123,10 @@ def two_term_residual_exact(F: PiecewisePoly, k_max: int,
     terms=2 subtracts u1*integral(F) and beta^-k * u3 * (F(1)-F(0))/4;
     terms=1 subtracts only the invariant part. The exact residual is iterated
     itself, R_k = P R_{k-1}, and PIECE_BUDGET bounds the pieces of R_k; for
-    polynomial F that is the piece count of P^k F."""
+    polynomial F that is the piece count of P^k F. For polynomial F, R_0 lies
+    in S_nu, and R_k is stepped on its Bernstein coefficients
+    (transfer._bernstein_iterates) for as long as they are those of its
+    canonical form; from there on, apply_transfer iterates it."""
     if terms not in (1, 2):
         raise ValueError("terms must be 1 or 2, got %r" % (terms,))
     if k_max < 1:
@@ -110,15 +138,18 @@ def two_term_residual_exact(F: PiecewisePoly, k_max: int,
     if terms == 2:
         f0, f1 = F.boundary_values()
         resid = resid + u3.scaled((f0 - f1) * Fraction(1, 4))
-    ks, lows, ups = [], array("d"), array("d")
-    for k in range(1, k_max + 1):
-        resid = apply_transfer(resid)
-        if len(resid.pieces) > PIECE_BUDGET:
-            raise BudgetExceeded("piece budget exceeded at k=%d" % k)
-        lo, up = resid.sup_norm_bracket()
-        ks.append(k)
-        lows.append(lo)
-        ups.append(up)
+    params, brackets = F.params, []
+    for k, boxes in zip(range(1, k_max + 1), _bernstein_iterates(resid)):
+        _check_pieces(k, 1 + bool(boxes))  # R_k is 0 or has the 2 pieces of S_nu
+        brackets.append(_bracket(boxes, params))
+    if len(brackets) < k_max:  # R_0 lies outside S_nu, or R_k left the stepped form
+        resid = apply_transfer_iterate(resid, len(brackets))
+        for k in range(len(brackets) + 1, k_max + 1):
+            resid = apply_transfer(resid)
+            _check_pieces(k, len(resid.pieces))
+            brackets.append(resid.sup_norm_bracket())
+    lows, ups = (array("d", column) for column in zip(*brackets))
+    ks = list(range(1, k_max + 1))
     return ResidualSeries(ks=ks, residual_lower=lows, residual_upper=ups,
                           fitted_slope=slope_or_nan(ks, ups))
 

@@ -33,6 +33,7 @@ EXIT_PASS = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+MAX_GRID = 10 ** 6  # points of iterate's CSV and of the numeric asymptotics engine
 
 
 def _dec(x: float, rounding: str | None = None) -> str:
@@ -84,6 +85,11 @@ def _manifest(args, elapsed: float, extra: dict) -> dict:
     doc.update({k: None if isinstance(v, float) and math.isnan(v) else v
                 for k, v in extra.items()})
     return doc
+
+
+def _check_grid(grid: int) -> None:
+    if grid > MAX_GRID:  # refused before any point is listed
+        raise ValueError("--grid must be <= %d, got %d" % (MAX_GRID, grid))
 
 
 def _params(args) -> BetaParams:
@@ -149,6 +155,7 @@ def cmd_iterate(args):
     else:
         if args.grid < 0:
             raise ValueError("--grid must be >= 0, got %d" % args.grid)
+        _check_grid(args.grid)
         step = 1.0 / max(args.grid - 1, 1)  # as np.linspace: i*step, the last point 1
         xs = [i * step for i in range(args.grid)]
         if args.grid > 1:
@@ -173,6 +180,7 @@ def cmd_asymptotics(args):
     elif isinstance(F, PiecewisePoly):
         raise ValueError("--piecewise-json needs --engine exact")
     else:
+        _check_grid(args.grid)
         series = two_term_residual_numeric(F, params, range(1, args.k_max + 1),
                                            grid=args.grid)
     header = ("k", "residual_lower", "residual_upper", "beta_power_bound", "ratio")

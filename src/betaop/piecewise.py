@@ -196,6 +196,52 @@ def _halves(b: list) -> tuple[list, list]:
     return left, right[::-1]
 
 
+def _bernstein_box(p: Polynomial, a: tuple, b: tuple, n: int) -> tuple[list, int]:
+    """The Bernstein coefficients of degree n >= deg p of p on [a, b] (normalised
+    triples), as integer pairs over one denominator: L b_i = sum_j M_ij c_j."""
+    params = p.params
+    rows, D = _bernstein_map(a, b, n, params)
+    us, vs = [u for u, _ in p.num], [v for _, v in p.num]
+    return [(sum(map(mul, mu, us)) + params.a1 * (t := sum(map(mul, mv, vs))),
+             sum(map(mul, mu, vs)) + sum(map(mul, mv, us)) + params.a0 * t)
+            for mu, mv in rows], p.den * D
+
+
+def _bracket(boxes: Sequence[tuple], params: BetaParams) -> tuple[float, float]:
+    """Certified floats lower <= sup|f| <= upper for the f whose non-zero pieces
+    have the Bernstein coefficients boxes[i] = (pairs, den), (u + v beta)/den for
+    (u, v) in pairs; upper > 0 unless boxes is empty. Decided on integer pairs:
+    max|b_i| bounds a piece, b_0 and b_n are its end values. The box of the
+    largest bound is halved (de Casteljau) while that bound exceeds
+    (1 + BRACKET_WIDTH) times the lower one; both bounds are rounded outward once."""
+    queue, lower = [], ((0, 0), 1)
+
+    def larger(x, y):  # of x, y = ((u, v), d, ...), standing for (u + v beta)/d
+        (xu, xv), xd, (yu, yv), yd = x[0], x[1], y[0], y[1]
+        return y if _sign(yu * xd - xu * yd, yv * xd - xv * yd, params) > 0 else x
+
+    def add(b, den):  # the box (max |b_i|, den, b) of Bernstein pairs b over den
+        nonlocal lower
+        size = [(u, v) if _sign(u, v, params) >= 0 else (-u, -v) for u, v in b]
+        queue.append((reduce(larger, [(m, 1) for m in size])[0], den, b))
+        lower = larger(lower, (larger((size[0], 1), (size[-1], 1))[0], den))
+
+    for b, den in boxes:
+        add(b, den)
+    wn, wd = BRACKET_WIDTH.numerator, BRACKET_WIDTH.denominator
+    while True:  # top is lower itself for f = 0
+        top, ((lu, lv), ld) = reduce(larger, queue or [lower]), lower
+        if larger(((lu * (wd + wn), lv * (wd + wn)), ld * wd), top) is not top:
+            break
+        queue.remove(top)
+        for half in _halves(top[2]):
+            add(half, top[1] << (len(top[2]) - 1))
+    lo = quad_float_outward(*lower[0], lower[1], params)
+    # top is not below lower, so if not above it, one rounding serves both
+    up = lo if larger(lower, top) is lower else quad_float_outward(*top[0], top[1], params)
+    return lo[0], up[1]
+
+
 class PiecewisePoly:
     """Finitely many polynomial pieces over strictly increasing breakpoints
     covering [0,1]; canonical form merges adjacent identical pieces."""
@@ -383,42 +429,11 @@ class PiecewisePoly:
         return [horner(coeffs[bisect_right(bps, x, 1, n) - 1], x) for x in xs]
 
     def sup_norm_bracket(self) -> tuple[float, float]:
-        """Certified floats lower <= sup|f| <= upper; upper > 0 for f != 0.
-        Decided on integer pairs: max|b_i| of a piece's Bernstein coefficients
-        bounds it, b_0 and b_n are its end values. The box of the largest bound
-        is halved (de Casteljau) while that bound exceeds (1 + BRACKET_WIDTH)
-        times the lower one; both bounds are rounded outward once."""
-        params, boxes, lower = self.params, [], ((0, 0), 1)
-
-        def larger(x, y):  # of x, y = ((u, v), d, ...), standing for (u + v beta)/d
-            (xu, xv), xd, (yu, yv), yd = x[0], x[1], y[0], y[1]
-            return y if _sign(yu * xd - xu * yd, yv * xd - xv * yd, params) > 0 else x
-
-        def add(b, den):  # the box (max |b_i|, den, b) of Bernstein pairs b over den
-            nonlocal lower
-            size = [(u, v) if _sign(u, v, params) >= 0 else (-u, -v) for u, v in b]
-            boxes.append((reduce(larger, [(m, 1) for m in size])[0], den, b))
-            lower = larger(lower, (larger((size[0], 1), (size[-1], 1))[0], den))
-
-        for a, b, p in zip(self.breakpoints, self.breakpoints[1:], self.pieces):
-            if p.num:  # L times its Bernstein coefficients, the pairs of sum_j M_ij c_j
-                rows, D = _bernstein_map((a.a, a.b, a.d), (b.a, b.b, b.d), len(p.num) - 1, params)
-                us, vs = [u for u, _ in p.num], [v for _, v in p.num]
-                add([(sum(map(mul, mu, us)) + params.a1 * (t := sum(map(mul, mv, vs))),
-                      sum(map(mul, mu, vs)) + sum(map(mul, mv, us)) + params.a0 * t)
-                     for mu, mv in rows], p.den * D)
-        wn, wd = BRACKET_WIDTH.numerator, BRACKET_WIDTH.denominator
-        while True:  # top is lower itself for f = 0
-            top, ((lu, lv), ld) = reduce(larger, boxes or [lower]), lower
-            if larger(((lu * (wd + wn), lv * (wd + wn)), ld * wd), top) is not top:
-                break
-            boxes.remove(top)
-            for half in _halves(top[2]):
-                add(half, top[1] << (len(top[2]) - 1))
-        lo = quad_float_outward(*lower[0], lower[1], params)
-        # top is not below lower, so if not above it, one rounding serves both
-        up = lo if larger(lower, top) is lower else quad_float_outward(*top[0], top[1], params)
-        return lo[0], up[1]
+        """Certified floats lower <= sup|f| <= upper; upper > 0 for f != 0,
+        from the Bernstein coefficients of each non-zero piece (_bracket)."""
+        return _bracket([_bernstein_box(p, (a.a, a.b, a.d), (b.a, b.b, b.d), len(p.num) - 1)
+                         for a, b, p in zip(self.breakpoints, self.breakpoints[1:], self.pieces)
+                         if p.num], self.params)
 
     # -- serialization -----------------------------------------------------------
 

@@ -8,12 +8,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd, lcm
+from operator import mul
 
-from .field import BetaParams, QuadNum, _sign
-from .piecewise import PiecewisePoly, _piecewise_sum, _walk
+from .field import BetaParams, QuadNum, _raw, _sign
+from .piecewise import PiecewisePoly, Polynomial, _bernstein_box, _piecewise_sum, _walk
 
 NODE_BUDGET = 10 ** 8  # pointwise_transfer_power refuses larger preimage trees
+BRANCH_BUDGET = 10 ** 5  # apply_transfer refuses more branches, a0 + 1
 
 
 class BudgetExceeded(RuntimeError):
@@ -34,10 +36,10 @@ def apply_transfer(f: PiecewisePoly) -> PiecewisePoly:
     goes through _transfer_sweep, which pulls each non-zero piece back once
     and hands the branches to piecewise._walk, the walk of _piecewise_sum."""
     params = f.params
+    shifts = _branch_shifts(params)  # refuses more than BRANCH_BUDGET branches
     if sum(1 for p in f.pieces if p.num) < 2:
         binv = params.power(-1)
-        return _piecewise_sum([f.compose_affine(binv, shift, binv)
-                               for shift in _branch_shifts(params)], params)
+        return _piecewise_sum([f.compose_affine(binv, shift, binv) for shift in shifts], params)
     return _transfer_sweep(f)
 
 
@@ -110,6 +112,8 @@ def _shifted(term, j: int):
 @lru_cache(maxsize=None)
 def _branch_shifts(params: BetaParams) -> tuple[QuadNum, ...]:
     """The shifts j/beta, j = 0..a0, of the transfer branches."""
+    if params.a0 >= BRANCH_BUDGET:
+        raise BudgetExceeded("the transfer has more than %d branches" % BRANCH_BUDGET)
     return tuple(params.power(-1) * j for j in range(params.a0 + 1))
 
 
@@ -119,6 +123,64 @@ def apply_transfer_iterate(f: PiecewisePoly, k: int) -> PiecewisePoly:
     for _ in range(k):
         f = apply_transfer(f)
     return f
+
+
+@lru_cache(maxsize=16)
+def _s_nu_matrix(params: BetaParams, nu: int) -> tuple[tuple, int]:
+    """P on S_nu, the functions that are polynomials of degree < nu on
+    [0, a1/beta] and on [a1/beta, 1], in the Bernstein bases of degree nu - 1
+    of the two intervals, left first: rows (u parts, v parts) of integer pairs
+    over one denominator. Column j is P e_j, read back by _bernstein_box."""
+    n, cut = nu - 1, _raw(-params.a0, 1, 1, params)  # a1/beta = beta - a0
+    spans, boxes = ((params.zero(), cut), (cut, params.one())), []
+    for a, b in spans:
+        scale = (b - a).inverse()
+        for i in range(nu):  # basis function C(n, i) t^i (1 - t)^(n - i), t = (x - a)/(b - a)
+            e = Polynomial.from_rationals(
+                [0] * i + [comb(n, i) * comb(n - i, k) * (-1) ** k for k in range(nu - i)], params)
+            g = apply_transfer(PiecewisePoly.on_interval(e.compose_affine(scale, -a * scale), a, b))
+            boxes += [_bernstein_box(g._piece_on(x, y), (x.a, x.b, x.d), (y.a, y.b, y.d), n)
+                      for x, y in spans]
+    us, vs, den = _one_den(boxes)  # column after column
+    return tuple((tuple(us[i::2 * nu]), tuple(vs[i::2 * nu])) for i in range(2 * nu)), den
+
+
+def _one_den(boxes: list) -> tuple[list, list, int]:
+    """The u parts and v parts of the pairs of boxes (pairs, den), over their lcm."""
+    den = lcm(*(d for _, d in boxes))
+    us, vs = ([w[i] * (den // d) for pairs, d in boxes for w in pairs] for i in (0, 1))
+    return us, vs, den
+
+
+def _bernstein_iterates(f: PiecewisePoly):
+    """For f in S_nu, the Bernstein boxes (pairs, den) of the non-zero pieces
+    of P^k f, k = 1, 2, ..., as sup_norm_bracket reads them off its canonical
+    form, from one product with _s_nu_matrix and one gcd a step. It stops at
+    the first k where they may not be the canonical form's: a non-zero piece
+    of lower degree (its (nu - 1)-th forward difference is 0), or two pieces that
+    meet at a1/beta and so may merge. For f outside S_nu it yields nothing."""
+    params, cut = f.params, (-f.params.a0, 1, 1)
+    if any((y.a, y.b, y.d) != cut for y in f.breakpoints[1:-1]):
+        return
+    nu = max(1, *(len(p.num) for p in f.pieces))
+    n, (rows, mden), a0, a1 = nu - 1, _s_nu_matrix(params, nu), params.a0, params.a1
+    us, vs, den = _one_den([_bernstein_box(f.pieces[0], (0, 0, 1), cut, n),
+                            _bernstein_box(f.pieces[-1], cut, (1, 0, 1), n)])
+    diff = [comb(n, i) * (-1) ** (n - i) for i in range(nu)]
+    while True:
+        step = [(sum(map(mul, mu, us)) + a1 * (t := sum(map(mul, mv, vs))),
+                 sum(map(mul, mu, vs)) + sum(map(mul, mv, us)) + a0 * t) for mu, mv in rows]
+        g = gcd(den := den * mden, *(w for pair in step for w in pair))
+        us, vs, den = [u // g for u, _ in step], [v // g for _, v in step], den // g
+        boxes = []
+        for pu, pv in ((us[:nu], vs[:nu]), (us[nu:], vs[nu:])):
+            if any(pu) or any(pv):  # a zero piece has no box
+                if not (sum(map(mul, diff, pu)) or sum(map(mul, diff, pv))):
+                    return
+                boxes.append((list(zip(pu, pv)), den))
+        if len(boxes) == 2 and (us[n], vs[n]) == (us[nu], vs[nu]):
+            return
+        yield boxes
 
 
 def apply_integer_transfer(f: PiecewisePoly, q: int) -> PiecewisePoly:

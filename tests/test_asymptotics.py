@@ -5,21 +5,25 @@ as float oracles."""
 import hashlib
 import json
 import math
+import struct
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import islice
 from unittest.mock import patch
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from betaop import (BetaParams, BudgetExceeded, PiecewisePoly, Polynomial, apply_transfer,
-                    bernoulli_coeffs, builtin, epsilon_of, fit_slope, make_psi_basis,
-                    make_u_tilde, refine_to_level,
+                    bernoulli_coeffs, block_eigenvalues, builtin, epsilon_of, fit_slope,
+                    make_psi_basis, make_u_tilde, refine_to_level, slope_or_nan,
                     two_term_residual_exact, two_term_residual_numeric)
 import betaop.asymptotics as asymptotics
 import betaop.field as field
 import betaop.piecewise as piecewise
+import betaop.transfer as transfer
 from betaop.asymptotics import FIT_SKIP, NOISE_FLOOR_RATIO
 
 GOLDEN = BetaParams(1, 1)
@@ -66,6 +70,21 @@ def test_epsilon_threshold_is_decided_exactly():
     with patch.object(field, "_beta_power", wraps=field._beta_power) as power:
         assert epsilon_of(BetaParams(3, 2), 10 ** 6).N == 10 ** 6
     assert all(abs(call.args[1]) <= 1 for call in power.call_args_list)
+
+
+@pytest.mark.parametrize("a", [10 ** 7, 10 ** 20])
+def test_epsilon_of_a_huge_field_is_decided_on_logs(a):
+    # beta/a1 rounds to 1.0 at 10^20, where ln(beta/a1) read 0, and the
+    # threshold, about 3 a1 ln(a1), is far past any exact power; the least N
+    # is 7 + floor(s) for s = 3 ln(a1)/ln(beta/a1), here from 60 digits
+    params = BetaParams(a, a)
+    tp = epsilon_of(params)
+    with mpmath.workdps(60):
+        s = 3 * mpmath.log(a) / mpmath.log((a + mpmath.sqrt(a * a + 4 * a)) / (2 * a))
+        assert tp.N == 7 + int(mpmath.floor(s))
+    assert tp.N > tp.N_min_bound and 0 < tp.epsilon < 1e-16
+    with pytest.raises(ValueError, match="at or below the threshold"):
+        epsilon_of(params, tp.N - 1)
 
 
 def test_epsilon_scan_bounds():
@@ -143,6 +162,109 @@ def test_residual_series_matches_the_two_term_formula(F, k_max, terms):
         assert resid.equal_ae(want)
         assert (series.residual_lower[k - 1], series.residual_upper[k - 1]) == \
             want.sup_norm_bracket()
+
+
+def residual_0(F, terms=2):
+    """R_0 = F - u1*integral(F) [+ u3*(F(0)-F(1))/4], whose iterates are the R_k."""
+    u1, _, u3 = make_u_tilde(F.params)
+    f0, f1 = F.boundary_values()
+    return F + u1.scaled(-F.integrate()) + u3.scaled((f0 - f1) * Fraction(terms - 1, 4))
+
+
+def residuals(F, k_max, terms=2):
+    """The residuals R_1, ..., R_k_max of F, iterated exactly."""
+    resid = residual_0(F, terms)
+    for _ in range(k_max):
+        resid = apply_transfer(resid)
+        yield resid
+
+
+def oracle_series(F, k_max, terms=2):
+    """two_term_residual_exact as it ran before R_k was stepped on Bernstein
+    coefficients: apply_transfer, then sup_norm_bracket, at each k."""
+    lows, ups = zip(*(r.sup_norm_bracket() for r in residuals(F, k_max, terms)))
+    ks = list(range(1, k_max + 1))
+    return ks, lows, ups, slope_or_nan(ks, ups)
+
+
+def assert_series_is_the_oracles(F, k_max, terms=2):
+    series = two_term_residual_exact(F, k_max, terms)
+    ks, lows, ups, slope = oracle_series(F, k_max, terms)
+    assert series.ks == ks
+    # bit for bit, so a NaN slope equals a NaN slope
+    assert series.residual_lower.tobytes() == struct.pack("%dd" % k_max, *lows)
+    assert series.residual_upper.tobytes() == struct.pack("%dd" % k_max, *ups)
+    assert struct.pack("d", series.fitted_slope) == struct.pack("d", slope)
+
+
+def s_nu_pieces(params, draw, nu):
+    """A function of S_nu: degree < nu on [0, a1/beta] and on [a1/beta, 1], each
+    piece zero, the other's copy or drawn, with Q(beta) coefficients."""
+    coeff = st.builds(lambda p, q: params.rational(p) + params.beta() * q,
+                      st.fractions(-9, 9, max_denominator=6), st.sampled_from([0, 0, 1, -2]))
+    left = Polynomial(draw(st.lists(coeff, max_size=nu)), params)
+    kind = draw(st.sampled_from(["zero", "same", "drawn"]))
+    right = (Polynomial.zero(params) if kind == "zero" else left if kind == "same"
+             else Polynomial(draw(st.lists(coeff, max_size=nu)), params))
+    return PiecewisePoly(params, [params.zero(), params.power(-1) * params.a1, params.one()],
+                         [left, right])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), st.sampled_from(ALL_PARAMS_5), st.integers(1, 5), st.integers(1, 12),
+       st.sampled_from([1, 2]))
+def test_stepped_series_is_byte_identical_to_iteration(data, params, nu, k_max, terms):
+    assert_series_is_the_oracles(s_nu_pieces(params, data.draw, nu), k_max, terms)
+
+
+def on_cut(params, left, right):
+    """The S_nu function with coefficients left on [0, a1/beta] and right on
+    [a1/beta, 1]."""
+    return PiecewisePoly(params, [params.zero(), params.power(-1) * params.a1, params.one()],
+                         [Polynomial([params.one() * c for c in cs], params)
+                          for cs in (left, right)])
+
+
+def test_a_zero_piece_drops_its_box():
+    # F on [a1/beta, 1] with integral 0: at a0 = a1, P F vanishes there, as
+    # its branches j < a0 land in [0, a0/beta] = [0, a1/beta]
+    for params in (GOLDEN, BetaParams(5, 5)):
+        F = on_cut(params, [], [-(1 + params.power(-1) * params.a1) / 2, 1])
+        assert F.integrate() == 0
+        boxes = next(transfer._bernstein_iterates(residual_0(F, terms=1)))
+        assert len(boxes) == 1 and apply_transfer(F).pieces[1].is_zero()
+        assert_series_is_the_oracles(F, 12, terms=1)
+
+
+def test_a_degree_drop_leaves_the_stepped_form():
+    # on (1, 1) the x^2 coefficient of P F on [0, 1/beta] is that of F's left
+    # piece plus that of its right one, over beta^3
+    F = on_cut(GOLDEN, [0, 0, 1], [0, 0, -1])
+    assert list(islice(transfer._bernstein_iterates(residual_0(F)), 3)) == []
+    assert len(apply_transfer(residual_0(F)).pieces[0].num) == 2
+    assert_series_is_the_oracles(F, 12)
+
+
+def test_continuity_at_the_cut_leaves_the_stepped_form():
+    # P f jumps at a1/beta by f(1-)/beta, so F(1) = 0 and integral(F) = 0 make
+    # R_1 = P F continuous there, and both pieces may merge
+    for params in ALL_PARAMS_5:
+        F = PiecewisePoly.from_polynomial(
+            Polynomial.from_rationals([-Fraction(1, 2), 2, -Fraction(3, 2)], params))
+        assert F.integrate() == 0 and F.boundary_values()[1] == 0
+        assert list(islice(transfer._bernstein_iterates(residual_0(F, terms=1)), 3)) == []
+        assert_series_is_the_oracles(F, 12, terms=1)
+
+
+@pytest.mark.parametrize("nu", range(1, 6))
+def test_the_s_nu_matrix_has_the_block_eigenvalues(nu):
+    # its trace is the sum of the 2 nu eigenvalues of the restriction matrix
+    for params in ALL_PARAMS_5:
+        rows, den = transfer._s_nu_matrix(params, nu)
+        assert len(rows) == 2 * nu and all(len(mu) == len(mv) == 2 * nu for mu, mv in rows)
+        trace = sum((field._make(mu[i], mv[i], den, params) for i, (mu, mv) in enumerate(rows)),
+                    params.zero())
+        assert trace == sum(block_eigenvalues(params, nu), params.zero())
 
 
 def test_invariant_density_residual_vanishes():
@@ -338,16 +460,6 @@ def positive_on(coeffs, a, b) -> bool:
         signs = [s for s in (_value(p, x).sign() for p in chain[:-1]) if s]
         return sum(s != t for s, t in zip(signs, signs[1:]))
     return changes(a) == changes(b)
-
-
-def residuals(F, k_max):
-    """The two-term residuals R_1, ..., R_k_max of F, iterated exactly."""
-    u1, _, u3 = make_u_tilde(F.params)
-    f0, f1 = F.boundary_values()
-    resid = F + u1.scaled(-F.integrate()) + u3.scaled((f0 - f1) * Fraction(1, 4))
-    for _ in range(k_max):
-        resid = apply_transfer(resid)
-        yield resid
 
 
 def bracket_holds_the_sup(f, lo, up) -> bool:

@@ -67,9 +67,30 @@ def test_usage_errors(capsys):
                         "--grid", "50"], "grid must be >= 101, got 50"),
                       (["iterate", "--a0", "1", "--a1", "1", "--k", "-1"], "k must be >= 0, got -1"),
                       (["partition-dump", "--a0", "1", "--a1", "1", "--M", "0"],
-                       "M must be >= 1, got 0")):
+                       "M must be >= 1, got 0"),
+                      # bounded before any point is listed
+                      (["iterate", "--a0", "3", "--a1", "1", "--k", "2", "--grid", str(10 ** 30)],
+                       "--grid must be <= 1000000, got %d" % 10 ** 30),
+                      (["asymptotics", "--a0", "1", "--a1", "1", "--engine", "numeric",
+                        "--grid", str(10 ** 30)], "--grid must be <= 1000000, got %d" % 10 ** 30)):
         assert run(argv) == 2
         assert capsys.readouterr().err == "error: %s\n" % err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigen-check", "--a0", str(10 ** 20), "--a1", str(10 ** 20)],
+    ["asymptotics", "--a0", str(10 ** 20), "--a1", str(10 ** 20), "--k-max", "3"],
+    ["asymptotics", "--a0", str(10 ** 20), "--a1", str(10 ** 20), "--k-max", "3",
+     "--engine", "numeric"],
+    ["asymptotics", "--a0", str(10 ** 7), "--a1", str(10 ** 7), "--k-max", "3"],
+], ids=["eigen-check", "exact", "numeric", "exact-1e7"])
+def test_a_huge_field_exhausts_the_branch_budget(capsys, argv):
+    # a0 + 1 transfer branches: refused with exit 3, where 10^20 ended in a
+    # ZeroDivisionError traceback and 10^7 ran for minutes
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exhausted: the transfer has more than 100000 branches\n"
 
 
 def test_iterate_json_matches_eigen_expansion(capsys):

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import betaop.asymptotics as asymptotics
 import betaop.piecewise as piecewise
+import betaop.transfer as transfer
 from betaop import (BetaParams, PiecewisePoly, Polynomial, QuadNum, apply_integer_transfer,
                     apply_transfer, builtin, combine, make_psi_basis, make_u_tilde,
                     refine_to_level, two_term_residual_exact)
@@ -823,14 +825,19 @@ def test_bernstein_maps_and_bracket_match_the_old_conversion(f):
 
 
 @pytest.mark.parametrize("a0, a1", [(1, 1), (2, 1), (3, 2), (5, 5)])
-def test_a_residual_series_builds_one_map_per_piece_interval(a0, a1):
-    # every iterate of a polynomial's residual has the pieces [0, a1/beta] and
-    # [a1/beta, 1] of one degree: 40 brackets look up 80 maps and build 2
-    params = BetaParams(a0, a1)
-    piecewise._bernstein_map.cache_clear()
-    two_term_residual_exact(builtin("cubic").piecewise(params), 40)
-    info = piecewise._bernstein_map.cache_info()
-    assert (info.misses, info.hits) == (2, 78)
+def test_a_warm_residual_series_makes_no_transfer_and_two_map_lookups(a0, a1):
+    # every R_k of a polynomial lies in S_nu, stepped on Bernstein coefficients
+    # by one cached matrix: the maps of R_0's pieces on [0, a1/beta] and
+    # [a1/beta, 1] are the series' only conversions, and no R_k is transferred
+    F = builtin("cubic").piecewise(BetaParams(a0, a1))
+    two_term_residual_exact(F, 40)
+    before = piecewise._bernstein_map.cache_info()
+    with patch.object(transfer, "apply_transfer", wraps=transfer.apply_transfer) as at, \
+            patch.object(asymptotics, "apply_transfer", wraps=asymptotics.apply_transfer) as aa:
+        two_term_residual_exact(F, 40)
+    after = piecewise._bernstein_map.cache_info()
+    assert at.call_count == aa.call_count == 0
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
 
 
 def test_the_bernstein_maps_stay_within_their_cache_size():

@@ -255,6 +255,17 @@ def test_pointwise_budget(monkeypatch):
         pointwise_transfer_power(F, BetaParams(5, 5), 20, np.linspace(0, 1, 101))
 
 
+def test_apply_transfer_refuses_more_branches_than_its_budget():
+    # a0 + 1 branches: refused before the first shift j/beta is built, on the
+    # per-branch path (one piece) and on the sweep (two)
+    params = BetaParams(transfer.BRANCH_BUDGET, 1)
+    one = Polynomial.from_rationals([1], params)
+    for f in (PiecewisePoly.from_polynomial(one),
+              PiecewisePoly.on_interval(one, params.zero(), params.power(-1))):
+        with pytest.raises(BudgetExceeded, match="more than %d branches" % transfer.BRANCH_BUDGET):
+            apply_transfer(f)
+
+
 def test_pointwise_budget_refuses_a_level_before_building_it(monkeypatch):
     # (3,1) on these 101 points: levels 0..7 of the tree hold 622,425 nodes,
     # level 7 alone 434,002
