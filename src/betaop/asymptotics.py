@@ -13,8 +13,8 @@ from statistics import linear_regression
 from .field import BetaParams
 from .piecewise import PiecewisePoly, _bracket
 from .spectral import make_u_tilde
-from .transfer import (BudgetExceeded, _bernstein_iterates, apply_transfer,
-                       apply_transfer_iterate, pointwise_transfer_power)
+from .transfer import (BudgetExceeded, _bernstein_iterates, apply_transfer_iterate,
+                       pointwise_transfer_power)
 
 NOISE_FLOOR_RATIO = 1e-12
 FIT_SKIP = 5  # entries with k <= FIT_SKIP are excluded from slope fits
@@ -88,15 +88,11 @@ def _floor_of_excess(params: BetaParams, s: float) -> tuple[int, float]:
     """floor(s) and, as a float, s - floor(s), for s = 3 ln(a1)/ln(beta/a1)
     given its float. s is 0 at a1 = 1 and irrational otherwise (beta^m is
     irrational for m >= 1), so floor(s) is decided on bounds of s: the float
-    widened by 2^-45, which covers the rounding of its logs; near an integer
-    m <= 64, exactly by s < m iff beta^m > a1^(m + 3); else on mpmath
-    intervals at doubling precision. Only these import mpmath."""
+    widened by 2^-45, which covers the rounding of its logs, and near an
+    integer, mpmath intervals at doubling precision, the only mpmath import."""
     lo, hi = math.floor(s * (1 - 2.0 ** -45)), math.floor(s * (1 + 2.0 ** -45))
     if lo == hi:
         return lo, s - lo
-    if hi <= 64:
-        floor = hi - (params.power(hi) > params.a1 ** (hi + 3))
-        return floor, min(max(s - floor, 0.0), 1.0)
     from mpmath import iv
     saved, iv.prec = iv.prec, 128
     try:
@@ -108,11 +104,6 @@ def _floor_of_excess(params: BetaParams, s: float) -> tuple[int, float]:
             iv.prec *= 2
     finally:
         iv.prec = saved
-
-
-def _check_pieces(k: int, pieces: int) -> None:
-    if pieces > PIECE_BUDGET:
-        raise BudgetExceeded("piece budget exceeded at k=%d" % k)
 
 
 def two_term_residual_exact(F: PiecewisePoly, k_max: int,
@@ -138,16 +129,16 @@ def two_term_residual_exact(F: PiecewisePoly, k_max: int,
     if terms == 2:
         f0, f1 = F.boundary_values()
         resid = resid + u3.scaled((f0 - f1) * Fraction(1, 4))
-    params, brackets = F.params, []
-    for k, boxes in zip(range(1, k_max + 1), _bernstein_iterates(resid)):
-        _check_pieces(k, 1 + bool(boxes))  # R_k is 0 or has the 2 pieces of S_nu
-        brackets.append(_bracket(boxes, params))
-    if len(brackets) < k_max:  # R_0 lies outside S_nu, or R_k left the stepped form
-        resid = apply_transfer_iterate(resid, len(brackets))
-        for k in range(len(brackets) + 1, k_max + 1):
-            resid = apply_transfer(resid)
-            _check_pieces(k, len(resid.pieces))
-            brackets.append(resid.sup_norm_bracket())
+    params, steps, at, brackets = F.params, _bernstein_iterates(resid), 0, []
+    for k in range(1, k_max + 1):
+        # None from the first k where R_k leaves the stepped form (at once if
+        # R_0 lies outside S_nu); resid = R_at is then iterated to R_k
+        if (boxes := next(steps, None)) is None:
+            resid, at = apply_transfer_iterate(resid, k - at), k
+        # a stepped R_k is 0 or has the 2 pieces of S_nu
+        if (len(resid.pieces) if boxes is None else 1 + bool(boxes)) > PIECE_BUDGET:
+            raise BudgetExceeded("piece budget exceeded at k=%d" % k)
+        brackets.append(resid.sup_norm_bracket() if boxes is None else _bracket(boxes, params))
     lows, ups = (array("d", column) for column in zip(*brackets))
     ks = list(range(1, k_max + 1))
     return ResidualSeries(ks=ks, residual_lower=lows, residual_upper=ups,

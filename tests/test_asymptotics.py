@@ -42,8 +42,8 @@ def test_epsilon_examples():
 
 
 def test_epsilon_default_N_is_the_least_admitted():
-    # at a1 = 1 the threshold is exactly 6; its float reads 5.999999999999999
-    # at (5, 1), where N = 6 is refused by the exact comparison
+    # at a1 = 1 the threshold is exactly 6, as s = 0 there, so N = 6 is
+    # refused, also at (5, 1), where 3 ln(beta^2)/ln(beta) reads 5.999999999999999
     for params in ALL_PARAMS_5:
         tp = epsilon_of(params)
         assert tp.epsilon > 0 and tp.N > tp.N_min_bound
@@ -85,6 +85,23 @@ def test_epsilon_of_a_huge_field_is_decided_on_logs(a):
     assert tp.N > tp.N_min_bound and 0 < tp.epsilon < 1e-16
     with pytest.raises(ValueError, match="at or below the threshold"):
         epsilon_of(params, tp.N - 1)
+
+
+def test_epsilon_matches_50_digits_within_its_conditioning():
+    # epsilon = min(3/N, ln(beta/a1) (N - 6 - s)/(N ln(beta))) from float logs:
+    # the rounding of s is magnified by s/(N - 6 - s) near the threshold, so
+    # the float is within 4 (1 + s/(N - 6 - s)) ulps of the 50-digit value,
+    # 4 ulps at a1 = 1 where s = 0 and wherever N is well past the threshold
+    for params in ALL_PARAMS_5:
+        a0, a1, least = params.a0, params.a1, epsilon_of(params).N
+        for N in [*range(least, least + 21), 1000]:
+            with mpmath.workdps(50):
+                beta = (a0 + mpmath.sqrt(a0 * a0 + 4 * a1)) / 2
+                s = 3 * mpmath.log(a1) / mpmath.log(beta / a1)
+                exact = min(mpmath.mpf(3) / N, (mpmath.log(beta / a1)
+                            - 3 * mpmath.log(beta * beta / a1) / N) / mpmath.log(beta))
+                ulps = abs(epsilon_of(params, N).epsilon - exact) / math.ulp(float(exact))
+                assert ulps <= 4 * (1 + s / (N - 6 - s)), (a0, a1, N, float(ulps))
 
 
 def test_epsilon_scan_bounds():
